@@ -10,17 +10,16 @@ from .bem import CapacitanceResult, NearFieldEvaluationError, NearResonanceError
     solve_density_with_diagnostics
 from .config import ConfigError, ExperimentConfig, default_config, \
     parse_config_file, parse_config_text
-from .geometry import CutoffFunction, ShapeInvalidError, ShellRegion, StarShape, \
-    SurfaceGrid, build_surface_grid, evaluate_cutoff, shell_quadrature
-from .incident import EnergySeminorm, PulseConfigurationError, ShellPulse, \
-    energy_seminorm, incident_gradient_bound, incident_laplace, incident_time, \
-    incident_trace
+from .geometry import ShapeInvalidError, ShellRegion, StarShape, SurfaceGrid, \
+    build_surface_grid, shell_quadrature
+from .incident import PulseConfigurationError, ShellPulse, incident_laplace, \
+    incident_time, incident_trace
 from .metrics import ScalingFit, check_density_expansion, check_dilation_identity, \
-    check_kernel_difference, check_projection_scaling, fit_power_law, local_energy, \
-    shell_l2_norm
+    check_kernel_difference, check_projection_scaling, fit_power_law, \
+    shell_l2_norm_of_values
 from .sphere_oracle import SphereScenario, sphere_scattered_frequency, \
     sphere_scattered_time
 from .synthesis import FrequencyTable, ScatteringScenario, TimeSeries, \
-    frequency_sweep, inverse_transform, synthesize_error
+    frequency_sweep, inverse_transform
 
 __version__ = "0.1.0"

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bem import CapacitanceResult, capacitance
-from .geometry import StarShape, SurfaceGrid
-from .incident import ShellPulse, incident_laplace, incident_time, incident_time_dt
+from .geometry import SurfaceGrid
+from .incident import ShellPulse, incident_laplace, incident_time
 
 
 class SingularEvaluationError(ValueError):
@@ -36,15 +35,6 @@ class PointScattererModel:
     def __post_init__(self):
         if self.c_eps <= 0:
             raise ValueError("capacitance must be positive")
-
-    @staticmethod
-    def from_shape(shape: StarShape, epsilon: float, pulse: ShellPulse,
-                   n_theta: int = 24, n_phi: int = 48,
-                   cap: CapacitanceResult | None = None) -> "PointScattererModel":
-        """c_eps = eps * c1 with c1 from the unit-scale equilibrium solve."""
-        if cap is None:
-            cap = capacitance(shape, n_theta, n_phi)
-        return PointScattererModel(c_eps=epsilon * cap.c1, pulse=pulse)
 
 
 def _norms(x):
@@ -64,19 +54,6 @@ def point_scatterer_time(model: PointScattererModel, t, x):
     t = np.asarray(t, dtype=float)
     tau = t - rho
     vals = incident_time(model.pulse, np.maximum(tau, 0.0), model.pulse.origin_distance)
-    vals = np.where(tau > 0.0, vals, 0.0)
-    out = -model.c_eps * vals / (4.0 * np.pi * rho)
-    return float(out[0]) if single and t.ndim == 0 else out
-
-
-def point_scatterer_time_dt(model: PointScattererModel, t, x):
-    """Time derivative of the model field."""
-    rho, single = _norms(x)
-    if np.any(rho == 0.0):
-        raise SingularEvaluationError("point-scatterer model is singular at x = 0")
-    t = np.asarray(t, dtype=float)
-    tau = t - rho
-    vals = incident_time_dt(model.pulse, np.maximum(tau, 0.0), model.pulse.origin_distance)
     vals = np.where(tau > 0.0, vals, 0.0)
     out = -model.c_eps * vals / (4.0 * np.pi * rho)
     return float(out[0]) if single and t.ndim == 0 else out

@@ -31,9 +31,10 @@ from . import bem, metrics
 from .asymptotic import PointScattererModel, point_scatterer_time
 from .config import ConfigError, ExperimentConfig, default_config, parse_config_file
 from .geometry import StarShape, build_surface_grid, shell_quadrature
-from .metrics import ScalingFit, fit_power_law
+from .metrics import ScalingFit, fit_power_law, shell_l2_norm_of_values
 from .sphere_oracle import SphereScenario, sphere_scattered_frequency, sphere_scattered_time
-from .synthesis import FrequencyTable, ScatteringScenario, frequency_sweep, inverse_transform
+from .synthesis import FrequencyTable, ScatteringScenario, build_frequency_grid, \
+    frequency_sweep, inverse_transform
 
 logger = logging.getLogger(__name__)
 
@@ -127,9 +128,8 @@ def _fmt(v) -> str:
 
 def _fit_check(manifest: RunManifest, name: str, fit: ScalingFit) -> None:
     target, slope_tol, resid_tol = SLOPE_WINDOWS[name]
-    ok = abs(fit.slope - target) <= slope_tol and fit.max_residual <= resid_tol
     manifest.add_check(CheckResult(
-        name, ok,
+        name, fit.within(target, slope_tol, resid_tol),
         f"slope={fit.slope:.4f} target={target}+-{slope_tol} residual={fit.max_residual:.4f}"))
 
 
@@ -249,28 +249,42 @@ def _table_path(out_dir: Path, eps: float) -> Path:
     return out_dir / f"freq_table_eps{eps:g}.csv"
 
 
+def _cached_table(path: Path, points: np.ndarray, scenario: ScatteringScenario,
+                  n_nodes: int, edges: np.ndarray) -> FrequencyTable | None:
+    """The table stored at path, if it was built for this scenario, these
+    observation points and this frequency grid."""
+    if not path.exists():
+        return None
+    try:
+        cached = FrequencyTable.load_csv(path, points)
+    except ValueError as exc:
+        logger.info("stale table %s (%s); recomputing", path.name, exc)
+        return None
+    if cached.scenario_hash != scenario.content_hash():
+        logger.info("stale table %s: scenario hash mismatch, recomputing", path.name)
+        return None
+    if len(cached.omegas) != n_nodes or not np.array_equal(cached.panel_edges, edges):
+        logger.info("stale table %s: frequency grid mismatch, recomputing", path.name)
+        return None
+    logger.info("reusing table %s (scenario %s)", path.name, cached.scenario_hash)
+    return cached
+
+
 def _sweep_tables(config: ExperimentConfig, out_dir: Path, manifest: RunManifest,
                   write: bool = True) -> dict:
-    """One frequency table per scale; reuses an on-disk table when its
-    scenario hash matches the configuration."""
+    """One frequency table per scale; reuses an on-disk table built for the
+    same scenario and frequency grid."""
     pts, _ = _observation_rule(config)
+    nodes, _, edges = build_frequency_grid(config.omega_max, config.n_omega)
     tables = {}
     for eps in config.epsilons:
         scenario = ScatteringScenario(config.shape, eps, config.pulse,
                                       n_theta=config.n_theta, n_phi=config.n_phi)
         path = _table_path(out_dir, eps)
-        if path.exists():
-            try:
-                cached = FrequencyTable.load_csv(path, pts)
-            except ValueError as exc:
-                logger.info("stale table %s (%s); recomputing", path.name, exc)
-                cached = None
-            if cached is not None and cached.scenario_hash == scenario.content_hash():
-                logger.info("reusing table %s (scenario %s)", path.name, cached.scenario_hash)
-                tables[eps] = cached
-                continue
-            if cached is not None:
-                logger.info("stale table %s: scenario hash mismatch, recomputing", path.name)
+        cached = _cached_table(path, pts, scenario, len(nodes), edges)
+        if cached is not None:
+            tables[eps] = cached
+            continue
         t0 = time.time()
         table = frequency_sweep(scenario, pts, config.omega_max, config.n_omega,
                                 workers=config.workers)
@@ -304,13 +318,12 @@ def cmd_synthesize(config: ExperimentConfig, out_dir: Path, manifest: RunManifes
 # ---------------------------------------------------------------------------
 # theorem commands
 # ---------------------------------------------------------------------------
-def _norm_history(series_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.abs(series_values) ** 2 @ weights)
-
-
-def cmd_theorem1(config: ExperimentConfig, out_dir: Path, manifest: RunManifest,
-                 prepared=None):
-    """Field scaling ||u_sc(t0)|| ~ eps and tail extinction after t*."""
+def _norm_scaling(config: ExperimentConfig, out_dir: Path, manifest: RunManifest,
+                  prepared, quantity, name: str, header: str, tail_check: str,
+                  tail_label: str):
+    """Shell-norm history of quantity(eps, times, u_sc) per scale: its value
+    at t0 is fitted against eps, and its largest value after t* + 0.5 is
+    compared with the peak field norm before t*."""
     _, weights = _observation_rule(config)
     if prepared is None:
         prepared = cmd_synthesize(config, out_dir, manifest)
@@ -322,58 +335,49 @@ def cmd_theorem1(config: ExperimentConfig, out_dir: Path, manifest: RunManifest,
 
     rows, points, tail_ratios = [], [], []
     for eps in config.epsilons:
-        norms = _norm_history(series[eps].values, weights)
-        peak, tail = float(np.max(norms[pre])), float(np.max(norms[post]))
-        rows.append([eps, float(norms[i_t0]), peak, tail, tail / peak])
-        points.append((eps, float(norms[i_t0])))
-        tail_ratios.append(tail / peak)
-    fit = fit_power_law(points)
-    _write_csv(out_dir / "theorem1.csv", "eps,norm_t0,pre_peak,post_tail,tail_ratio", rows,
-               provenance=manifest.config_hash)
-    manifest.add_file(out_dir / "theorem1.csv")
-    _fit_check(manifest, "theorem1_slope", fit)
-    worst = max(tail_ratios)
-    manifest.add_check(CheckResult(
-        "huygens_tail", bool(worst < TAIL_RATIO_LIMIT),
-        f"worst post-t* tail/peak {worst:.2e} (< {TAIL_RATIO_LIMIT})"))
-    return fit, rows
-
-
-def cmd_theorem2(config: ExperimentConfig, out_dir: Path, manifest: RunManifest,
-                 prepared=None, c1: float | None = None):
-    """Model-error scaling ||u_app - u_sc||(t0) ~ eps^2 and the same tail check."""
-    pts, weights = _observation_rule(config)
-    if prepared is None:
-        prepared = cmd_synthesize(config, out_dir, manifest)
-    _, series = prepared
-    if c1 is None:
-        c1 = bem.capacitance(config.shape).c1
-    times = next(iter(series.values())).times
-    i_t0 = int(np.argmin(np.abs(times - config.t0)))
-    pre = times <= config.t_star
-    post = times >= config.t_star + 0.5
-
-    rows, points, tail_ratios = [], [], []
-    for eps in config.epsilons:
-        model = PointScattererModel(c_eps=eps * c1, pulse=config.pulse)
-        u_app = np.stack([point_scatterer_time(model, t, pts) for t in times])
-        err = u_app - series[eps].values
-        norms = _norm_history(err, weights)
-        field_norms = _norm_history(series[eps].values, weights)
+        u_sc = series[eps].values
+        norms = shell_l2_norm_of_values(quantity(eps, times, u_sc), weights)
+        field_norms = shell_l2_norm_of_values(u_sc, weights)
         peak, tail = float(np.max(field_norms[pre])), float(np.max(norms[post]))
         rows.append([eps, float(norms[i_t0]), peak, tail, tail / peak])
         points.append((eps, float(norms[i_t0])))
         tail_ratios.append(tail / peak)
     fit = fit_power_law(points)
-    _write_csv(out_dir / "theorem2.csv", "eps,error_norm_t0,field_pre_peak,post_tail,tail_ratio", rows,
-               provenance=manifest.config_hash)
-    manifest.add_file(out_dir / "theorem2.csv")
-    _fit_check(manifest, "theorem2_slope", fit)
+    _write_csv(out_dir / f"{name}.csv", header, rows, provenance=manifest.config_hash)
+    manifest.add_file(out_dir / f"{name}.csv")
+    _fit_check(manifest, f"{name}_slope", fit)
     worst = max(tail_ratios)
     manifest.add_check(CheckResult(
-        "theorem2_tail", bool(worst < TAIL_RATIO_LIMIT),
-        f"worst post-t* error tail/field peak {worst:.2e} (< {TAIL_RATIO_LIMIT})"))
+        tail_check, bool(worst < TAIL_RATIO_LIMIT),
+        f"worst post-t* {tail_label} {worst:.2e} (< {TAIL_RATIO_LIMIT})"))
     return fit, rows
+
+
+def cmd_theorem1(config: ExperimentConfig, out_dir: Path, manifest: RunManifest,
+                 prepared=None):
+    """Field scaling ||u_sc(t0)|| ~ eps and tail extinction after t*."""
+    return _norm_scaling(config, out_dir, manifest, prepared,
+                         lambda eps, times, u_sc: u_sc, "theorem1",
+                         "eps,norm_t0,pre_peak,post_tail,tail_ratio",
+                         "huygens_tail", "tail/peak")
+
+
+def cmd_theorem2(config: ExperimentConfig, out_dir: Path, manifest: RunManifest,
+                 prepared=None, c1: float | None = None):
+    """Model-error scaling ||u_app - u_sc||(t0) ~ eps^2 and the same tail check."""
+    pts, _ = _observation_rule(config)
+    if prepared is None:
+        prepared = cmd_synthesize(config, out_dir, manifest)
+    if c1 is None:
+        c1 = bem.capacitance(config.shape).c1
+
+    def model_error(eps, times, u_sc):
+        model = PointScattererModel(c_eps=eps * c1, pulse=config.pulse)
+        return np.stack([point_scatterer_time(model, t, pts) for t in times]) - u_sc
+
+    return _norm_scaling(config, out_dir, manifest, prepared, model_error, "theorem2",
+                         "eps,error_norm_t0,field_pre_peak,post_tail,tail_ratio",
+                         "theorem2_tail", "error tail/field peak")
 
 
 # ---------------------------------------------------------------------------
@@ -427,28 +431,6 @@ def cmd_checks(config: ExperimentConfig, out_dir: Path, manifest: RunManifest):
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
-_PLOT_STUB = """\
-# Plot stub for smallscat outputs: loads the CSVs next to this script.
-import csv
-from pathlib import Path
-
-import matplotlib.pyplot as plt
-
-here = Path(__file__).parent
-for name in ("theorem1", "theorem2"):
-    path = here / f"{name}.csv"
-    if not path.exists():
-        continue
-    with open(path) as fh:
-        rows = list(csv.DictReader(fh))
-    eps = [float(r["eps"]) for r in rows]
-    key = "norm_t0" if name == "theorem1" else "error_norm_t0"
-    plt.loglog(eps, [float(r[key]) for r in rows], "o-", label=name)
-plt.xlabel("eps"); plt.ylabel("shell L2 norm at t0"); plt.legend(); plt.grid(True)
-plt.savefig(here / "scalings.png", dpi=150)
-"""
-
-
 def cmd_all(config: ExperimentConfig, out_dir: Path, manifest: RunManifest):
     caps = cmd_capacitance(config, out_dir, manifest)
     cmd_oracle_compare(config, out_dir, manifest)
@@ -478,9 +460,6 @@ def run_command(name: str, config: ExperimentConfig, out_dir) -> RunManifest:
     t0 = time.time()
     COMMANDS[name](config, out_dir, manifest)
     manifest.add_timing("total", time.time() - t0)
-    stub = out_dir / "plot_results.py"
-    stub.write_text(_PLOT_STUB)
-    manifest.add_file(stub)
     manifest_path = manifest.write(out_dir)
     logger.info("manifest written to %s (overall %s)", manifest_path,
                 "PASS" if manifest.all_passed else "FAIL")

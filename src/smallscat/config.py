@@ -24,14 +24,12 @@ Grammar (one assignment per line, '#' comments):
     output_dir = out
     workers = 1
 
-Unknown keys are rejected with the offending key named.  The worker count
-may be overridden by the SMALLSCAT_WORKERS environment variable.
+Unknown keys are rejected with the offending key named.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 from dataclasses import dataclass, field
 
@@ -204,21 +202,13 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if fnum("freq.omega_max") <= 0 or fnum("time.t_max") <= 0:
         raise ConfigError("freq.omega_max and time.t_max must be positive")
 
-    workers = inum("workers")
-    env_workers = os.environ.get("SMALLSCAT_WORKERS")
-    if env_workers:
-        try:
-            workers = int(env_workers)
-        except ValueError as exc:
-            raise ConfigError(f"invalid SMALLSCAT_WORKERS value {env_workers!r}") from exc
-
     raw = tuple(sorted({**dict(_DEFAULTS), **dict(seen)}.items()))
     return ExperimentConfig(
         shape=shape, pulse=pulse, epsilons=epsilons, shell=shell,
         omega_max=fnum("freq.omega_max"), n_omega=inum("freq.n_omega"),
         t_max=fnum("time.t_max"), n_t=inum("time.n_t"), t0=fnum("time.t0"),
         n_theta=inum("bem.n_theta"), n_phi=inum("bem.n_phi"),
-        output_dir=values["output_dir"], workers=workers, raw=raw,
+        output_dir=values["output_dir"], workers=inum("workers"), raw=raw,
     )
 
 

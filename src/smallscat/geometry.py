@@ -1,4 +1,5 @@
-"""Star-shaped surfaces, their contractions, quadrature grids, and cutoffs.
+"""Star-shaped surfaces, their contractions, quadrature grids, and
+observation shells.
 
 A star-shaped surface is described by a radial function r(s_hat) > 0 over
 the unit sphere, sampled on a Gauss-Legendre (in cos(theta)) x uniform
@@ -232,53 +233,6 @@ def build_surface_grid(shape: StarShape, epsilon: float, n_theta: int, n_phi: in
         theta=theta, phi=phi, nodes=nodes, weights=weights, normals=normals,
         unit_directions=s_hat, radial_values=r, jacobian=jac,
     )
-
-
-# ---------------------------------------------------------------------------
-# Smooth cutoff functions
-# ---------------------------------------------------------------------------
-def _smooth_step(t):
-    """C-infinity step built from exp(-1/t): 0 for t <= 0, 1 for t >= 1."""
-    t = np.asarray(t, dtype=float)
-    out = np.zeros(t.shape)
-    hi = t >= 1.0
-    out[hi] = 1.0
-    mid = (t > 0.0) & ~hi
-    tm = t[mid]
-    a = np.exp(-1.0 / tm)
-    b = np.exp(-1.0 / (1.0 - tm))
-    out[mid] = a / (a + b)
-    return out
-
-
-def cutoff_profile(rho):
-    """The fixed C-infinity bump chi: 1 on rho < 1, 0 on rho >= 2, monotone."""
-    rho = np.abs(np.asarray(rho, dtype=float))
-    return _smooth_step(2.0 - rho)
-
-
-@dataclass(frozen=True)
-class CutoffFunction:
-    """Scaled cutoff chi_a(x) = chi(x / a): plateau |x| < a, support |x| < 2a."""
-
-    a: float = 1.0
-
-    def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("cutoff scale must be positive")
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim and x.shape[-1] == 3:
-            rho = np.linalg.norm(x, axis=-1)
-        else:
-            rho = np.abs(x)
-        return cutoff_profile(rho / self.a)
-
-
-def evaluate_cutoff(cut: CutoffFunction, x) -> float:
-    """chi_a at a single 3-vector (or radius)."""
-    return float(cut(np.asarray(x, dtype=float)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,19 @@ and H(x) = int_0^x h,
     u_inc(t, r) = (H(|r + t|) - H(|r - t|)) / (2 r),      u_inc(t, 0) = t psi(t).
 
 The Laplace-domain field is the shell average of the free kernel
-exp(-s|x-y|) / (4 pi |x-y|):
+exp(-s|x-y|) / (4 pi |x-y|).  Splitting the shell at rho = r gives, with
+c = clip(r, r0, R0),
 
-    u_hat(s, r) = 1/(2 s r) * int_{r0}^{R0} rho psi(rho)
-                  (exp(-s |r - rho|) - exp(-s (r + rho))) d rho,
+    u_hat(s, r) = exp(-s r) / r * int_{r0}^{c} h(rho) sinh(s rho) / s d rho
+                  + sinh(s r) / (s r) * int_{c}^{R0} h(rho) exp(-s rho) d rho,
 
-evaluated by Gauss-Legendre quadrature with series fallbacks near s = 0.
+evaluated by Gauss-Legendre quadrature.  Both integrals depend on r only
+through c, so every radius inside the hole (the whole obstacle trace)
+shares one quadrature; sinh has no cancellation near s = 0 or r = 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -33,10 +35,6 @@ from .geometry import SurfaceGrid, gauss_legendre
 
 class PulseConfigurationError(ValueError):
     """Obstacle/pulse geometry violates the separation preconditions."""
-
-
-_SMALL_S = 1e-3          # switch to the Taylor-expanded kernel below this |s|*(r+rho)
-_N_TAYLOR = 6
 
 
 @dataclass(frozen=True)
@@ -155,35 +153,6 @@ def incident_time(pulse: ShellPulse, t, r):
     return out if out.ndim else float(out)
 
 
-def incident_time_dt(pulse: ShellPulse, t, r):
-    """Time derivative of u_inc; this is v_inc(t, r)."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    t, r = np.broadcast_arrays(t, r)
-
-    def h_odd(x):
-        xa = np.abs(x)
-        inside = (xa >= pulse.r0) & (xa <= pulse.R0)
-        v = np.zeros(x.shape)
-        v[inside] = pulse._h_values(xa[inside]) * np.sign(x[inside])
-        return v
-
-    out = np.empty(t.shape)
-    at_origin = r < 1e-6
-    if np.any(at_origin):
-        tv = t[at_origin]
-        dh = pulse._h_poly.deriv(1)
-        inside = (tv >= pulse.r0) & (tv <= pulse.R0)
-        v = np.zeros(tv.shape)
-        v[inside] = dh(tv[inside] - pulse._center)
-        out[at_origin] = v
-    rest = ~at_origin
-    if np.any(rest):
-        tv, rv = t[rest], r[rest]
-        out[rest] = (h_odd(rv + tv) + h_odd(rv - tv)) / (2.0 * rv)
-    return out if out.ndim else float(out)
-
-
 @lru_cache(maxsize=32)
 def _laplace_rule(a: float, b: float, n: int):
     x, w = gauss_legendre(n)
@@ -197,123 +166,37 @@ def _laplace_quad_order(pulse: ShellPulse, s: complex) -> int:
     return 48 + int(0.75 * abs(s) * (pulse.R0 - pulse.r0))
 
 
+def _sinhc(x):
+    """sinh(x) / x, with its limit 1 at x = 0."""
+    x = np.asarray(x, dtype=complex)
+    safe = np.where(x == 0, 1.0, x)
+    return np.where(x == 0, 1.0, np.sinh(safe) / safe)
+
+
 def incident_laplace(pulse: ShellPulse, s: complex, r):
     """Laplace transform u_hat(s, |x| = r) of the incident field.
 
-    Valid for any complex s (the kernel grows for Re s < 0 but stays
-    finite); r may be a scalar or an array of radii.
+    Valid for any complex s with |Re s| * max(r, R0) below ~700, where
+    sinh overflows; r may be a scalar or an array of radii.
     """
     r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    rv = np.atleast_1d(r).ravel()
     s = complex(s)
     n = _laplace_quad_order(pulse, s)
-
-    out = np.empty(rv.shape, dtype=complex)
-    outside = (rv <= pulse.r0) | (rv >= pulse.R0)
-    if np.any(outside):
-        # no kink: one shared rule, vectorized over all such radii
-        rho, wq = _laplace_rule(pulse.r0, pulse.R0, n)
-        hw = wq * pulse._h_values(rho)
-        kern = _shell_kernel_batch(s, rv[outside], rho)
-        out[outside] = kern @ hw
-    for i in np.nonzero(~outside)[0]:
-        # |r - rho| kinks the integrand at rho = r; split the rule there
-        acc = 0.0 + 0.0j
-        for (a, b) in ((pulse.r0, rv[i]), (rv[i], pulse.R0)):
-            rho, wq = _laplace_rule(a, b, n)
-            acc += np.sum(wq * pulse._h_values(rho) * _shell_kernel(s, rv[i], rho))
-        out[i] = acc
+    c, which = np.unique(np.clip(r, pulse.r0, pulse.R0), return_inverse=True)
+    inner = np.empty(c.shape, dtype=complex)
+    outer = np.empty(c.shape, dtype=complex)
+    for k, ck in enumerate(c):
+        rho, wq = _laplace_rule(pulse.r0, float(ck), n)
+        inner[k] = np.sum(wq * pulse._h_values(rho) * rho * _sinhc(s * rho))
+        rho, wq = _laplace_rule(float(ck), pulse.R0, n)
+        outer[k] = np.sum(wq * pulse._h_values(rho) * np.exp(-s * rho))
+    inner, outer = inner[which].reshape(r.shape), outer[which].reshape(r.shape)
+    # inner vanishes exactly wherever r <= r0, so clamping the divisor
+    # there only avoids 0/0 at the origin
+    out = np.exp(-s * r) / np.maximum(r, pulse.r0) * inner + _sinhc(s * r) * outer
     if s.imag == 0.0:
         out = out.real
-    if scalar:
-        return out[0].item()
-    return out.reshape(np.atleast_1d(r).shape)
-
-
-def _shell_kernel_batch(s: complex, radii: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """_shell_kernel vectorized over radii; returns (len(radii), len(rho))."""
-    R = radii[:, None]
-    P = rho[None, :]
-    a = np.abs(R - P)
-    b = R + P
-    at_origin = radii < 1e-12
-    if s == 0:
-        out = np.where(at_origin[:, None], 1.0, np.minimum(R, P) / np.where(R == 0, 1.0, R))
-        return out.astype(float)
-    out = np.empty((len(radii), len(rho)), dtype=complex)
-    safe_R = np.where(R == 0, 1.0, R)
-    taylor = (abs(s) * b) < _SMALL_S
-    general = ~taylor
-    with np.errstate(over="ignore", invalid="ignore"):
-        out[general] = ((np.exp(-s * a) - np.exp(-s * b)) / (2.0 * s * safe_R))[general]
-    if np.any(taylor):
-        acc = np.zeros(out.shape, dtype=complex)
-        term_a, term_b = a.astype(complex), b.astype(complex)
-        fact = 1.0
-        for n in range(1, _N_TAYLOR + 1):
-            fact *= n
-            acc += (-1.0) ** (n - 1) * s ** (n - 1) * (term_b - term_a) / (fact * 2.0 * safe_R)
-            term_a, term_b = term_a * a, term_b * b
-        out[taylor] = acc[taylor]
-    if np.any(at_origin):
-        out[at_origin] = np.exp(-s * rho)[None, :]
-    return out
-
-
-def _shell_kernel(s: complex, r: float, rho: np.ndarray) -> np.ndarray:
-    """(exp(-s|r-rho|) - exp(-s(r+rho))) / (2 s r), with stable limits.
-
-    Equals the spherical average of exp(-s|x-y|)/(4 pi |x-y|) over |y| = rho
-    at |x| = r, times 4 pi rho^2 / rho^2 normalization folded into the caller.
-    """
-    if r < 1e-12:
-        return np.exp(-s * rho)
-    a = np.abs(r - rho)
-    b = r + rho
-    if s == 0:
-        return np.minimum(r, rho) / r
-    if abs(s) * (r + np.max(rho)) < _SMALL_S:
-        # sum_{n>=1} (-1)^(n-1) s^(n-1) (b^n - a^n) / (n! 2 r)
-        acc = np.zeros(rho.shape, dtype=complex)
-        term_a, term_b = a.astype(complex), b.astype(complex)
-        fact = 1.0
-        for n in range(1, _N_TAYLOR + 1):
-            fact *= n
-            acc += (-1.0) ** (n - 1) * s ** (n - 1) * (term_b - term_a) / (fact * 2.0 * r)
-            term_a, term_b = term_a * a, term_b * b
-        return acc
-    return (np.exp(-s * a) - np.exp(-s * b)) / (2.0 * s * r)
-
-
-def _shell_kernel_dr(s: complex, r: float, rho: np.ndarray) -> np.ndarray:
-    """d/dr of the shell kernel, valid for r < min(rho) (inside the hole)."""
-    if np.any(rho <= r):
-        raise ValueError("radial derivative form requires r < rho")
-    if s == 0:
-        return np.zeros(rho.shape)
-    x = s * r
-    if abs(x) < _SMALL_S:
-        g = s * (x / 3.0 + x ** 3 / 30.0 + x ** 5 / 840.0)
-    else:
-        g = (x * np.cosh(x) - np.sinh(x)) / (x * x) * s
-    return np.exp(-s * rho) * g
-
-
-def incident_laplace_dr(pulse: ShellPulse, s: complex, r):
-    """Radial derivative of u_hat(s, r) for r < r0 (obstacle region)."""
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    rv = np.atleast_1d(r)
-    if np.any(rv >= pulse.r0):
-        raise ValueError("incident_laplace_dr is defined for r < r0 only")
-    s = complex(s)
-    rho, wq = _laplace_rule(pulse.r0, pulse.R0, _laplace_quad_order(pulse, s))
-    hvals = pulse._h_values(rho)
-    out = np.array([np.sum(wq * hvals * _shell_kernel_dr(s, radius, rho)) for radius in rv])
-    if scalar:
-        return complex(out[0])
-    return out
+    return out.item() if out.ndim == 0 else out
 
 
 def incident_trace(pulse: ShellPulse, s: complex, grid: SurfaceGrid) -> np.ndarray:
@@ -328,44 +211,3 @@ def incident_trace(pulse: ShellPulse, s: complex, grid: SurfaceGrid) -> np.ndarr
             f"obstacle intersects the source shell: max node distance {np.max(radii):.4f} >= r0 = {pulse.r0}"
         )
     return np.asarray(incident_laplace(pulse, s, radii), dtype=complex)
-
-
-def incident_gradient_bound(pulse: ShellPulse, s: complex, epsilon: float,
-                            n_samples: int = 200) -> tuple[float, float]:
-    """(sup |u_hat|, sup |grad u_hat|) over the ball B_eps, by dense radial sampling."""
-    rc = pulse.origin_distance
-    if rc + epsilon >= pulse.r0:
-        raise PulseConfigurationError("ball must lie inside the source shell hole")
-    radii = np.linspace(max(0.0, rc - epsilon), rc + epsilon, n_samples)
-    vals = np.abs(np.asarray(incident_laplace(pulse, s, radii), dtype=complex))
-    grads = np.abs(incident_laplace_dr(pulse, s, radii))
-    return float(np.max(vals)), float(np.max(grads))
-
-
-@dataclass(frozen=True)
-class EnergySeminorm:
-    """Sobolev-type energy of the initial data, reduced to radial integrals.
-
-    For u0 = 0 and radial v0 the quantity is (1/2) * sum_{j<=k_reg} of
-    int |psi^(j)(rho)|^2 4 pi rho^2 d rho (an equivalent-norm surrogate;
-    only relative scalings enter any acceptance check).
-    """
-
-    k_reg: int
-    value: float
-
-
-def energy_seminorm(pulse: ShellPulse) -> EnergySeminorm:
-    # psi^(j) is polynomial on [r0, R0]; GL exact for the integrand degree
-    deg = 2 * (pulse.k_reg + 1)
-    n = deg + 2
-    x, w = gauss_legendre(n)
-    rho = 0.5 * (pulse.R0 + pulse.r0) + 0.5 * (pulse.R0 - pulse.r0) * x
-    wq = 0.5 * (pulse.R0 - pulse.r0) * w
-    total = 0.0
-    p = pulse._psi_poly
-    xi = rho - pulse._center
-    for j in range(pulse.k_reg + 1):
-        dj = p.deriv(j) if j else p
-        total += np.sum(wq * (dj(xi) ** 2) * 4.0 * math.pi * rho ** 2)
-    return EnergySeminorm(k_reg=pulse.k_reg, value=0.5 * total)

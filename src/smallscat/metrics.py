@@ -1,4 +1,4 @@
-"""Shell norms, local energy, and scaling-law verification checks.
+"""Shell norms and scaling-law verification checks.
 
 Every scaling claim is tested the same way: compute a norm per obstacle
 scale, fit a line through (log eps, log norm), and compare the slope and
@@ -54,36 +54,14 @@ def fit_power_law(points) -> ScalingFit:
 
 
 # ---------------------------------------------------------------------------
-# Shell norms and local energy
+# Shell norm
 # ---------------------------------------------------------------------------
-def shell_l2_norm(sampler, region: ShellRegion, n_r: int = 8, n_ang: int = 6) -> float:
-    """L2 norm over the shell of a field given as points -> values."""
-    pts, w = shell_quadrature(region, n_r, n_ang)
-    if len(w) == 0:
-        return 0.0
-    vals = np.asarray(sampler(pts))
-    return float(np.sqrt(np.sum(w * np.abs(vals) ** 2)))
+def shell_l2_norm_of_values(values: np.ndarray, weights: np.ndarray):
+    """L2 norm over a shell rule of samples at its points.
 
-
-def shell_l2_norm_of_values(values: np.ndarray, weights: np.ndarray) -> float:
-    """Same norm for precomputed samples on a shell rule."""
-    return float(np.sqrt(np.sum(weights * np.abs(values) ** 2)))
-
-
-def local_energy(grad_sampler, v_sampler, region: ShellRegion,
-                 n_r: int = 8, n_ang: int = 6) -> float:
-    """(1/2)(||grad u||^2 + ||v||^2) over the shell.
-
-    grad_sampler: points -> (n, 3) gradient samples; v_sampler: points ->
-    values of the time derivative.
+    values is (P,) or a (T, P) history; returns a scalar or (T,) norms.
     """
-    pts, w = shell_quadrature(region, n_r, n_ang)
-    if len(w) == 0:
-        return 0.0
-    grad = np.asarray(grad_sampler(pts))
-    v = np.asarray(v_sampler(pts))
-    return float(0.5 * (np.sum(w * np.sum(np.abs(grad) ** 2, axis=1))
-                        + np.sum(w * np.abs(v) ** 2)))
+    return np.sqrt(np.abs(values) ** 2 @ weights)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .incident import ShellPulse, incident_laplace, incident_time, incident_time_dt
+from .incident import ShellPulse, incident_laplace, incident_time
 
 
 @dataclass(frozen=True)
@@ -47,15 +47,6 @@ def sphere_scattered_time(scn: SphereScenario, t, r):
         raise ValueError("observation radius inside the sphere")
     tau = t - (r - scn.epsilon)
     vals = incident_time(scn.pulse, np.maximum(tau, 0.0), scn.epsilon)
-    return -(scn.epsilon / r) * np.where(tau > 0.0, vals, 0.0)
-
-
-def sphere_scattered_time_dt(scn: SphereScenario, t, r):
-    """Time derivative of the exact scattered field."""
-    t = np.asarray(t, dtype=float)
-    r = np.asarray(r, dtype=float)
-    tau = t - (r - scn.epsilon)
-    vals = incident_time_dt(scn.pulse, np.maximum(tau, 0.0), scn.epsilon)
     return -(scn.epsilon / r) * np.where(tau > 0.0, vals, 0.0)
 
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -225,12 +224,16 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
     global _SWEEP_CTX
     _SWEEP_CTX = {"grid": grid, "pulse": scenario.pulse, "points": points}
     tasks = [(j, float(om), step) for j, om in enumerate(nodes)]
-    if workers > 1:
-        import multiprocessing as mp
-        with mp.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_solve_one, tasks)
-    else:
-        results = [_solve_one(t) for t in tasks]
+    try:
+        if workers > 1:
+            import multiprocessing as mp
+            with mp.get_context("fork").Pool(workers) as pool:
+                results = pool.map(_solve_one, tasks)
+        else:
+            results = [_solve_one(t) for t in tasks]
+    finally:
+        # release the grid and its static core before the caller builds the next
+        _SWEEP_CTX = {}
 
     omegas = np.array(nodes, dtype=float)
     values = np.empty((len(nodes), points.shape[0]), dtype=complex)
@@ -265,13 +268,12 @@ def _panel_legendre_coeffs(x_nodes: np.ndarray, vals: np.ndarray) -> np.ndarray:
     return np.linalg.solve(V, vals)
 
 
-def inverse_transform(table: FrequencyTable, times, derivative: bool = False) -> TimeSeries:
+def inverse_transform(table: FrequencyTable, times) -> TimeSeries:
     """Synthesize u(t, x) = (1/pi) Re int_0^Omega e^{i omega t} u_hat d omega.
 
-    With derivative=True returns the time derivative (an extra i omega
-    factor under the integral).  Panels in the oscillatory regime use exact
-    Legendre-Bessel moments; the remaining panels use the plain Gauss sum,
-    which coincides with the Filon value to interpolation accuracy.
+    Panels in the oscillatory regime use exact Legendre-Bessel moments; the
+    remaining panels use the plain Gauss sum, which coincides with the Filon
+    value to interpolation accuracy.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     n_per = len(table.omegas) // table.n_panels
@@ -284,8 +286,6 @@ def inverse_transform(table: FrequencyTable, times, derivative: bool = False) ->
         sl = slice(p * n_per, (p + 1) * n_per)
         om = table.omegas[sl]
         vals = table.values[sl]
-        if derivative:
-            vals = (1j * om)[:, None] * vals
         if b * t_max > FILON_PHASE_SWITCH:
             x_nodes = (om - c) / h
             coeffs = _panel_legendre_coeffs(x_nodes, vals)        # (n_per, P)
@@ -301,29 +301,3 @@ def inverse_transform(table: FrequencyTable, times, derivative: bool = False) ->
     # conjugate extension: the omega < 0 half contributes the exact conjugate
     two_sided = 0.5 * (acc + np.conj(acc)) / math.pi
     return TimeSeries.from_complex(times, two_sided, table.scenario_hash)
-
-
-def synthesize_error(scenario: ScatteringScenario, times, points,
-                     c1: float | None = None, table: FrequencyTable | None = None,
-                     omega_max: float = 40.0, n_omega: int = 400,
-                     workers: int = 1) -> TimeSeries:
-    """Model error e(t) = u_app(t) - u_sc(t) on the time grid.
-
-    The model term is evaluated exactly in the time domain (no synthesis
-    error on that side); u_sc comes from the frequency table.  c1 defaults
-    to the unit-scale capacitance of the scenario shape.
-    """
-    from .asymptotic import PointScattererModel, point_scatterer_time
-    from .bem import capacitance
-
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if c1 is None:
-        c1 = capacitance(scenario.shape).c1
-    if table is None:
-        table = frequency_sweep(scenario, points, omega_max, n_omega, workers)
-    u_sc = inverse_transform(table, times)
-    model = PointScattererModel(c_eps=scenario.epsilon * c1, pulse=scenario.pulse)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    u_app = np.stack([point_scatterer_time(model, t, points) for t in times], axis=0)
-    return TimeSeries(times=times, values=u_app - u_sc.values,
-                      scenario_hash=table.scenario_hash)

@@ -6,8 +6,9 @@ the stated snapshot time t0 = 5.5 truncates the scattered pulse at the
 outer shell radius (slope drops to ~0.54), and the eps = 0.16 endpoint of
 the pinned sweep carries enough next-order curvature to push the error
 fit's log-residual above 0.05.  Both effects are reproduced by the exact
-monopole solution (see notes/decisions.md); companion tests verify the
-underlying scaling claims in well-posed configurations and pass.
+monopole solution (see "Known parameter pitfalls" in README.md); companion
+tests verify the underlying scaling claims in well-posed configurations and
+pass.
 """
 
 import dataclasses
@@ -138,7 +139,7 @@ def test_criterion_04_field_scaling_as_stated(theorem_data):
         f"unattainable as stated: slope {fit.slope:.4f}, residual {fit.max_residual:.4f}. "
         "At t0 = 5.5 the outer shell radius truncates the scattered pulse "
         "mid-waveform; the exact monopole solution gives slope 0.536 / "
-        "residual 0.133 for these parameters (notes/decisions.md). "
+        "residual 0.133 for these parameters (README, Known parameter pitfalls). "
         "The companion test verifies the Theorem-2.1 scaling at t0 = 5.0.")
 
 
@@ -158,7 +159,7 @@ def test_criterion_05_error_scaling_as_stated(theorem_data):
         f"unattainable as stated: slope {fit.slope:.4f}, residual {fit.max_residual:.4f}. "
         "The eps = 0.16 endpoint of the pinned sweep sits in the next-order "
         "regime of this sharply peaked pulse; the exact solution gives "
-        "residual 0.074 at t0 = 5.5 and 0.057 at t0 = 5.0 (notes/decisions.md). "
+        "residual 0.074 at t0 = 5.5 and 0.057 at t0 = 5.0 (README, Known parameter pitfalls). "
         "The companion test verifies the Theorem-3.1 scaling on {0.02..0.08}.")
 
 

@@ -24,7 +24,7 @@ def sphere_cap(sphere):
 
 @pytest.fixture(scope="module")
 def model(pulse, sphere_cap):
-    return PointScattererModel.from_shape(StarShape.sphere(), 0.1, pulse, cap=sphere_cap)
+    return PointScattererModel(c_eps=0.1 * sphere_cap.c1, pulse=pulse)
 
 
 def test_support_window(model, pulse):
@@ -62,9 +62,9 @@ def test_model_conjugate_symmetry(model):
 
 def test_model_linearity_in_amplitude(pulse, sphere_cap):
     x = np.array([2.5, 0.0, 0.0])
-    m1 = PointScattererModel.from_shape(StarShape.sphere(), 0.1, pulse, cap=sphere_cap)
+    m1 = PointScattererModel(c_eps=0.1 * sphere_cap.c1, pulse=pulse)
     doubled = dataclasses.replace(pulse, amplitude=2.0 * pulse.amplitude)
-    m2 = PointScattererModel.from_shape(StarShape.sphere(), 0.1, doubled, cap=sphere_cap)
+    m2 = PointScattererModel(c_eps=0.1 * sphere_cap.c1, pulse=doubled)
     assert point_scatterer_time(m2, 5.0, x) == pytest.approx(
         2.0 * point_scatterer_time(m1, 5.0, x), rel=1e-14)
 

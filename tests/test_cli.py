@@ -66,14 +66,6 @@ def test_bad_shape_kind():
         parse_config_text("shape = cube\n")
 
 
-def test_workers_env_override(monkeypatch):
-    monkeypatch.setenv("SMALLSCAT_WORKERS", "3")
-    assert parse_config_text("workers = 1\n").workers == 3
-    monkeypatch.setenv("SMALLSCAT_WORKERS", "junk")
-    with pytest.raises(ConfigError):
-        parse_config_text("")
-
-
 def test_config_hash_stable_under_reserialization():
     a = parse_config_text("workers = 1\nbem.n_theta = 20\n")
     b = parse_config_text("bem.n_theta = 20\nworkers = 1\n")
@@ -134,6 +126,18 @@ def test_synthesize_reuses_matching_table(tmp_path, caplog):
     assert series[1] == "t,point_index,value"
 
 
+@pytest.mark.filterwarnings("ignore:frequency tail not resolved")
+def test_synthesize_recomputes_table_of_other_grid(tmp_path, caplog):
+    import logging
+    run_command("sweep", parse_config_text(TINY_CONFIG), tmp_path)
+    wider = parse_config_text(TINY_CONFIG + "freq.omega_max = 20.0\n")
+    with caplog.at_level(logging.INFO, logger="smallscat.cli"):
+        run_command("synthesize", wider, tmp_path)
+    messages = [rec.message for rec in caplog.records]
+    assert not any("reusing table" in m for m in messages)
+    assert any("frequency grid mismatch" in m for m in messages)
+
+
 def test_manifest_lists_files_and_checks(tmp_path):
     cfg = parse_config_text(TINY_CONFIG)
     manifest = run_command("capacitance", cfg, tmp_path)
@@ -142,7 +146,7 @@ def test_manifest_lists_files_and_checks(tmp_path):
     for f in manifest.files:
         assert Path(f).name in text
     assert "overall: PASS" in text
-    assert (tmp_path / "plot_results.py").exists()
+    assert not (tmp_path / "plot_results.py").exists()
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from smallscat.geometry import (
-    CutoffFunction, ShapeInvalidError, ShellRegion, StarShape, build_surface_grid,
-    cutoff_profile, evaluate_cutoff, shell_quadrature,
+    ShapeInvalidError, ShellRegion, StarShape, build_surface_grid, shell_quadrature,
 )
 
 SPHERE_AREA = 4.0 * math.pi
@@ -92,34 +91,6 @@ def test_radial_derivatives_match_finite_differences(bumpy):
     h = 1e-6
     assert abs(rt - (bumpy.radial(th + h, ph) - bumpy.radial(th - h, ph)) / (2 * h)) < 1e-8
     assert abs(rp - (bumpy.radial(th, ph + h) - bumpy.radial(th, ph - h)) / (2 * h)) < 1e-8
-
-
-# -- cutoff ------------------------------------------------------------------
-def test_cutoff_plateau_and_support():
-    cut = CutoffFunction(1.0)
-    assert evaluate_cutoff(cut, [0.5, 0.0, 0.0]) == 1.0
-    assert evaluate_cutoff(cut, [0.0, 2.5, 0.0]) == 0.0
-    assert evaluate_cutoff(cut, [0.0, 0.0, 2.0]) == 0.0
-    assert evaluate_cutoff(cut, [0.999, 0.0, 0.0]) == 1.0
-
-
-def test_cutoff_scaling_definition():
-    cut = CutoffFunction(2.0)
-    val = evaluate_cutoff(cut, [3.0, 0.0, 0.0])
-    assert 0.0 < val < 1.0
-    assert val == pytest.approx(float(cutoff_profile(1.5)), abs=0)
-
-
-def test_cutoff_monotone_and_bounded():
-    rho = np.linspace(0.0, 3.0, 400)
-    vals = cutoff_profile(rho)
-    assert np.all((0.0 <= vals) & (vals <= 1.0))
-    assert np.all(np.diff(vals) <= 1e-15)
-
-
-def test_cutoff_scale_validation():
-    with pytest.raises(ValueError):
-        CutoffFunction(0.0)
 
 
 # -- shell quadrature --------------------------------------------------------

@@ -6,11 +6,8 @@ import pytest
 from conftest import numerical_incident_laplace
 from smallscat.geometry import StarShape, build_surface_grid, gauss_legendre
 from smallscat.incident import (
-    PulseConfigurationError, ShellPulse, energy_seminorm, incident_gradient_bound,
-    incident_laplace, incident_laplace_dr, incident_time, incident_time_dt,
-    incident_trace,
+    PulseConfigurationError, ShellPulse, incident_laplace, incident_time, incident_trace,
 )
-from smallscat.metrics import fit_power_law
 
 
 def test_profile_normalization_and_support(pulse):
@@ -85,13 +82,6 @@ def test_wave_equation_residual(pulse):
         assert abs(r1) <= abs(r2) * 0.5 + 1e-9    # ~O(h^2) scheme order
 
 
-def test_time_derivative_matches_finite_difference(pulse):
-    h = 1e-6
-    for (t, r) in ((1.3, 2.2), (2.6, 0.0), (4.0, 1.5)):
-        fd = (incident_time(pulse, t + h, r) - incident_time(pulse, t - h, r)) / (2 * h)
-        assert incident_time_dt(pulse, t, r) == pytest.approx(fd, abs=1e-7)
-
-
 # -- Laplace domain ----------------------------------------------------------
 def test_laplace_matches_time_transform_origin(pulse):
     lhs = incident_laplace(pulse, 1.0, 0.0)
@@ -100,7 +90,7 @@ def test_laplace_matches_time_transform_origin(pulse):
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0, 0.5 + 1j, 1 + 2j, 3j + 0.5])
-@pytest.mark.parametrize("r", [0.0, 1.5, 2.5, 3.5])
+@pytest.mark.parametrize("r", [0.0, 0.02, 1.5, 2.5, 3.5])
 def test_transform_consistency_grid(pulse, s, r):
     lhs = incident_laplace(pulse, s, r)
     rhs = numerical_incident_laplace(pulse, s, r)
@@ -127,17 +117,11 @@ def test_conjugate_symmetry(pulse):
 
 
 def test_small_s_branch_accuracy(pulse):
-    # the Taylor branch (just below the switch) must agree with the
-    # independent time-domain transform at the same s
+    # near s = 0 the closed form must agree with the independent
+    # time-domain transform at the same s
     r = 1.5
     s = 0.99e-3 / (pulse.R0 + r)
     assert abs(incident_laplace(pulse, s, r) - numerical_incident_laplace(pulse, s, r)) < 1e-10
-
-
-def test_radial_derivative_matches_fd(pulse):
-    s, r = 2j, 0.8
-    fd = (incident_laplace(pulse, s, r + 1e-6) - incident_laplace(pulse, s, r - 1e-6)) / 2e-6
-    assert abs(incident_laplace_dr(pulse, s, r) - fd) < 1e-7
 
 
 # -- traces ------------------------------------------------------------------
@@ -172,37 +156,3 @@ def test_trace_static_uniformity_as_scale_shrinks(pulse, bumpy):
         grid = build_surface_grid(bumpy, eps, 8, 16)
         tr = incident_trace(pulse, 0.0, grid)
         assert np.max(np.abs(tr - v0)) < 1e-12
-
-
-# -- gradient bound and energy -----------------------------------------------
-def test_gradient_bound_static(pulse):
-    sup_u_a, sup_g_a = incident_gradient_bound(pulse, 0.0, 0.02)
-    sup_u_b, sup_g_b = incident_gradient_bound(pulse, 0.0, 0.16)
-    assert sup_u_a == pytest.approx(sup_u_b, rel=1e-12)   # constant in the hole
-    assert sup_g_a == 0.0 and sup_g_b == 0.0
-
-
-def test_gradient_bound_finite_on_imaginary_axis(pulse):
-    for om in (1.0, 10.0, 40.0):
-        sup_u, sup_g = incident_gradient_bound(pulse, 1j * om, 0.16)
-        assert np.isfinite(sup_u) and np.isfinite(sup_g)
-
-
-def test_gradient_bound_growth_at_most_linear(pulse):
-    omegas = [1.0, 2.0, 5.0, 10.0, 20.0, 40.0]
-    sups = [incident_gradient_bound(pulse, 1j * om, 0.16)[1] for om in omegas]
-    fit = fit_power_law(list(zip(omegas, sups)))
-    assert fit.slope <= 1.05
-
-
-def test_gradient_bound_respects_hole(pulse):
-    with pytest.raises(PulseConfigurationError):
-        incident_gradient_bound(pulse, 1.0, 2.5)
-
-
-def test_energy_seminorm(pulse):
-    e = energy_seminorm(pulse)
-    assert e.k_reg == pulse.k_reg and e.value > 0
-    assert energy_seminorm(ShellPulse(amplitude=0.0)).value == 0.0
-    doubled = energy_seminorm(ShellPulse(amplitude=2.0 * pulse.amplitude))
-    assert doubled.value == pytest.approx(4.0 * e.value, rel=1e-12)

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from smallscat.geometry import ShellRegion, StarShape, build_surface_grid, gauss_legendre
-from smallscat.incident import ShellPulse, incident_time, incident_time_dt
+from smallscat.geometry import ShellRegion, StarShape, build_surface_grid, gauss_legendre, \
+    shell_quadrature
+from smallscat.incident import incident_time
 from smallscat.metrics import (
     check_density_expansion, check_dilation_identity, check_kernel_difference,
-    check_projection_scaling, fit_power_law, local_energy, shell_l2_norm,
+    check_projection_scaling, fit_power_law, shell_l2_norm_of_values,
 )
 
 EPS_SWEEP = (0.02, 0.04, 0.08, 0.16)
@@ -42,20 +43,25 @@ def test_fit_preconditions():
 
 
 # -- shell norms ---------------------------------------------------------------
+def shell_norm(field, region=REGION, n_r=8, n_ang=6):
+    pts, w = shell_quadrature(region, n_r, n_ang)
+    return shell_l2_norm_of_values(field(pts), w)
+
+
 def test_shell_norm_constant():
-    val = shell_l2_norm(lambda pts: np.full(len(pts), 2.5), REGION)
+    val = shell_norm(lambda pts: np.full(len(pts), 2.5))
     assert val == pytest.approx(2.5 * math.sqrt(REGION.volume), rel=1e-12)
 
 
 def test_shell_norm_inverse_radius():
-    val = shell_l2_norm(lambda pts: 1.0 / np.linalg.norm(pts, axis=1), REGION)
+    val = shell_norm(lambda pts: 1.0 / np.linalg.norm(pts, axis=1))
     assert val == pytest.approx(math.sqrt(4.0 * math.pi), rel=1e-12)
 
 
 def test_shell_norm_monopole_vs_radial_quadrature():
     # independent 1D radial oracle for ||e^{-r}/r||
-    sampler = lambda pts: np.exp(-np.linalg.norm(pts, axis=1)) / np.linalg.norm(pts, axis=1)
-    val = shell_l2_norm(sampler, REGION, n_r=24)
+    field = lambda pts: np.exp(-np.linalg.norm(pts, axis=1)) / np.linalg.norm(pts, axis=1)
+    val = shell_norm(field, n_r=24)
     x, w = gauss_legendre(64)
     r = 2.5 + 0.5 * x
     ref = math.sqrt(np.sum(0.5 * w * np.exp(-2 * r) * 4 * math.pi))
@@ -63,41 +69,35 @@ def test_shell_norm_monopole_vs_radial_quadrature():
 
 
 def test_shell_norm_homogeneous():
-    sampler = lambda pts: np.linalg.norm(pts, axis=1) - 2.2
-    assert shell_l2_norm(lambda p: 7.0 * sampler(p), REGION) == pytest.approx(
-        7.0 * shell_l2_norm(sampler, REGION), rel=1e-14)
+    field = lambda pts: np.linalg.norm(pts, axis=1) - 2.2
+    assert shell_norm(lambda p: 7.0 * field(p)) == pytest.approx(
+        7.0 * shell_norm(field), rel=1e-14)
 
 
 def test_shell_norm_degenerate_region():
-    assert shell_l2_norm(lambda pts: np.ones(len(pts)), ShellRegion(2.0, 2.0)) == 0.0
+    assert shell_norm(lambda pts: np.ones(len(pts)), ShellRegion(2.0, 2.0)) == 0.0
 
 
-# -- local energy ----------------------------------------------------------------
-def test_local_energy_static_field():
-    # u = 1/|x|, v = 0: (1/2) int |grad u|^2 = (1/2) 4 pi (1/2 - 1/3) = pi/3
-    grad = lambda pts: -pts / np.linalg.norm(pts, axis=1)[:, None] ** 3
-    val = local_energy(grad, lambda pts: np.zeros(len(pts)), REGION)
-    assert val == pytest.approx(math.pi / 3.0, rel=1e-12)
-
-
-def test_local_energy_zero_fields():
-    z3 = lambda pts: np.zeros((len(pts), 3))
-    z1 = lambda pts: np.zeros(len(pts))
-    assert local_energy(z3, z1, REGION) == 0.0
+def test_shell_norm_of_history_is_rowwise():
+    pts, w = shell_quadrature(REGION, 8, 6)
+    history = np.stack([np.full(len(pts), 2.0), 1.0 / np.linalg.norm(pts, axis=1)])
+    norms = shell_l2_norm_of_values(history, w)
+    assert norms.shape == (2,)
+    for row, norm in zip(history, norms):
+        assert norm == pytest.approx(shell_l2_norm_of_values(row, w), rel=1e-14)
 
 
 def test_incident_energy_after_passage(pulse):
-    # strong Huygens: the incident field has left the shell for t > R0 + R_ff
+    # strong Huygens: the incident field has left the shell for t > R0 + R_ff,
+    # so u, u_t and u_r all vanish identically on the shell rule
     t = pulse.R0 + REGION.outer + 0.2
-
-    def grad(pts):
-        r = np.linalg.norm(pts, axis=1)
-        h = 1e-5
-        du = (incident_time(pulse, t, r + h) - incident_time(pulse, t, r - h)) / (2 * h)
-        return du[:, None] * (pts / r[:, None])
-
-    v = lambda pts: incident_time_dt(pulse, t, np.linalg.norm(pts, axis=1))
-    assert local_energy(grad, v, REGION) == 0.0
+    pts, w = shell_quadrature(REGION, 8, 6)
+    r = np.linalg.norm(pts, axis=1)
+    h = 1e-5
+    u_t = (incident_time(pulse, t + h, r) - incident_time(pulse, t - h, r)) / (2 * h)
+    u_r = (incident_time(pulse, t, r + h) - incident_time(pulse, t, r - h)) / (2 * h)
+    energy = 0.5 * (shell_l2_norm_of_values(u_r, w) ** 2 + shell_l2_norm_of_values(u_t, w) ** 2)
+    assert energy == 0.0
 
 
 # -- proposition checks -----------------------------------------------------------

@@ -3,14 +3,16 @@ import dataclasses
 import numpy as np
 import pytest
 
-from smallscat.bem import capacitance
+from smallscat import synthesis
+from smallscat.asymptotic import PointScattererModel, point_scatterer_time
+from smallscat.bem import NearResonanceError, capacitance
 from smallscat.geometry import StarShape
 from smallscat.sphere_oracle import (
     SphereScenario, sphere_scattered_frequency, sphere_scattered_time,
 )
 from smallscat.synthesis import (
     FrequencyTable, ScatteringScenario, TimeSeries, build_frequency_grid,
-    frequency_sweep, inverse_transform, synthesize_error,
+    frequency_sweep, inverse_transform,
 )
 
 EPS = 0.1
@@ -107,15 +109,6 @@ def test_plancherel_identity(table):
     assert abs(energy_t - energy_w) < 0.02 * energy_w
 
 
-def test_time_derivative_synthesis(table):
-    times = np.linspace(4.2, 6.0, 181)
-    u = inverse_transform(table, times)
-    v = inverse_transform(table, times, derivative=True)
-    fd = np.gradient(u.values[:, 0], times)
-    mask = slice(10, -10)
-    assert np.max(np.abs(v.values[mask, 0] - fd[mask])) < 2e-2 * np.max(np.abs(v.values))
-
-
 def test_imaginary_residue_guard():
     times = np.linspace(0.0, 1.0, 5)
     good = TimeSeries.from_complex(times, np.ones((5, 1)) + 1e-12j)
@@ -124,18 +117,24 @@ def test_imaginary_residue_guard():
         TimeSeries.from_complex(times, np.ones((5, 1)) * (1 + 1e-3j))
 
 
-def test_synthesize_error_closed_form(scenario, table, oracle, pulse, sphere):
+def model_error(table, times, c1, pulse, eps):
+    """e = u_app - u_sc on the table's points: exact model minus synthesis."""
+    model = PointScattererModel(c_eps=eps * c1, pulse=pulse)
+    u_app = np.stack([point_scatterer_time(model, t, table.points) for t in times])
+    return u_app - inverse_transform(table, times).values
+
+
+def test_synthesize_error_closed_form(table, oracle, pulse, sphere):
     cap = capacitance(sphere, 16, 32)
     times = np.linspace(0.0, 10.0, 101)
-    err = synthesize_error(scenario, times, table.points, c1=cap.c1, table=table)
+    err = model_error(table, times, cap.c1, pulse, EPS)
     # closed form: e = (eps/r)[g_eps(t - r + eps) - g_0(t - r)]
-    from smallscat.asymptotic import PointScattererModel, point_scatterer_time
     model = PointScattererModel(c_eps=EPS * cap.c1, pulse=pulse)
     exact = np.array([
         point_scatterer_time(model, t, table.points)[0]
         - sphere_scattered_time(oracle, t, 2.5) for t in times])
     peak = np.max(np.abs(np.array([sphere_scattered_time(oracle, t, 2.5) for t in times])))
-    assert np.max(np.abs(err.values[:, 0] - exact)) < 1e-2 * peak
+    assert np.max(np.abs(err[:, 0] - exact)) < 1e-2 * peak
 
 
 def test_error_vanishes_with_scale(pulse, point, sphere):
@@ -144,8 +143,8 @@ def test_error_vanishes_with_scale(pulse, point, sphere):
     norms = []
     for eps in (0.1, 0.05):
         scn = ScatteringScenario(StarShape.sphere(), eps, pulse, n_theta=8, n_phi=16)
-        err = synthesize_error(scn, times, point, c1=cap.c1, omega_max=40.0, n_omega=96)
-        norms.append(np.max(np.abs(err.values)))
+        table = frequency_sweep(scn, point, omega_max=40.0, n_omega=96)
+        norms.append(np.max(np.abs(model_error(table, times, cap.c1, pulse, eps))))
     assert norms[1] < 0.5 * norms[0]
 
 
@@ -153,7 +152,6 @@ def test_post_extinction_error_equals_field(scenario, table, oracle, pulse, sphe
     # beyond t* + 2 eps the model term is identically zero, so e = -u_sc and
     # both sit below the synthesis noise floor
     cap = capacitance(sphere, 12, 24)
-    from smallscat.asymptotic import PointScattererModel, point_scatterer_time
     model = PointScattererModel(c_eps=EPS * cap.c1, pulse=pulse)
     t_ext = 2.5 + pulse.R0 + 2 * EPS
     times = np.linspace(t_ext + 0.1, 10.0, 25)
@@ -190,3 +188,15 @@ def test_tail_warning_when_underresolved(pulse, point):
     scn = ScatteringScenario(StarShape.sphere(), 0.1, pulse, n_theta=8, n_phi=16)
     with pytest.warns(UserWarning, match="tail"):
         frequency_sweep(scn, point, omega_max=4.0, n_omega=16)
+
+
+@pytest.mark.filterwarnings("ignore:frequency tail not resolved")
+def test_sweep_releases_worker_state(pulse, point, monkeypatch):
+    scn = ScatteringScenario(StarShape.sphere(), 0.1, pulse, n_theta=8, n_phi=16)
+    frequency_sweep(scn, point, omega_max=10.0, n_omega=8)
+    assert synthesis._SWEEP_CTX == {}
+    # every node fails its condition gate, so the sweep raises mid-loop
+    monkeypatch.setattr(synthesis, "CONDITION_LIMIT", 0.0)
+    with pytest.raises(NearResonanceError):
+        frequency_sweep(scn, point, omega_max=10.0, n_omega=8)
+    assert synthesis._SWEEP_CTX == {}
