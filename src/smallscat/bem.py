@@ -438,26 +438,20 @@ def exterior_dirichlet(shape: StarShape, epsilon: float, z: complex,
                        grid: SurfaceGrid | None = None):
     """Exterior Dirichlet solution operator at frequency z.
 
-    boundary_data is either a callable on 3-vectors or per-node values.
-    Returns an evaluator: points -> complex field values.  Defined for any
-    complex z off the discrete resonance set (Re z > 0 always safe).
+    boundary_data holds the per-node values.  Returns an evaluator: points
+    -> complex field values.  Defined for any complex z off the discrete
+    resonance set (Re z > 0 always safe).
     """
     if grid is None:
         grid = build_surface_grid(shape, epsilon, n_theta, n_phi)
-    if callable(boundary_data):
-        g = np.asarray(boundary_data(grid.nodes), dtype=complex)
-    else:
-        g = np.asarray(boundary_data, dtype=complex)
-        if g.shape != (grid.n_nodes,):
-            raise ValueError("boundary data length does not match the grid")
-    mat = assemble_single_layer(grid, z)
-    lam = solve_density(mat, g)
+    g = np.asarray(boundary_data, dtype=complex)
+    if g.shape != (grid.n_nodes,):
+        raise ValueError("boundary data length does not match the grid")
+    lam = solve_density(assemble_single_layer(grid, z), g)
 
     def evaluate(points):
         return evaluate_potential(grid, lam, z, points)
 
-    evaluate.density = lam
-    evaluate.grid = grid
     return evaluate
 
 

@@ -126,11 +126,14 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _fit_check(manifest: RunManifest, name: str, fit: ScalingFit) -> None:
+def _fit_check(manifest: RunManifest, name: str, fit: ScalingFit) -> bool:
+    """Record whether fit lies in the SLOPE_WINDOWS entry for name; return it."""
     target, slope_tol, resid_tol = SLOPE_WINDOWS[name]
+    passed = fit.within(target, slope_tol, resid_tol)
     manifest.add_check(CheckResult(
-        name, fit.within(target, slope_tol, resid_tol),
+        name, passed,
         f"slope={fit.slope:.4f} target={target}+-{slope_tol} residual={fit.max_residual:.4f}"))
+    return passed
 
 
 def _fits_csv_rows(named_fits) -> list:
@@ -404,24 +407,25 @@ def cmd_checks(config: ExperimentConfig, out_dir: Path, manifest: RunManifest):
     mean_fit, fluct_fit = metrics.check_projection_scaling(
         bumpy, config.pulse, 1j, eps_list, config.n_theta, config.n_phi)
     manifest.add_timing("check_projection", time.time() - t0)
-    _fit_check(manifest, "projection_mean_slope", mean_fit)
-    _fit_check(manifest, "projection_fluctuation_slope", fluct_fit)
-    named_fits += [("projection_mean", mean_fit, manifest.checks[-2].passed),
-                   ("projection_fluctuation", fluct_fit, manifest.checks[-1].passed)]
+    named_fits += [
+        ("projection_mean", mean_fit,
+         _fit_check(manifest, "projection_mean_slope", mean_fit)),
+        ("projection_fluctuation", fluct_fit,
+         _fit_check(manifest, "projection_fluctuation_slope", fluct_fit))]
 
     t0 = time.time()
     dens_fit = metrics.check_density_expansion(
         bumpy, config.pulse, 1j, eps_list, config.n_theta, config.n_phi)
     manifest.add_timing("check_density", time.time() - t0)
-    _fit_check(manifest, "density_expansion_slope", dens_fit)
-    named_fits.append(("density_expansion", dens_fit, manifest.checks[-1].passed))
+    named_fits.append(("density_expansion", dens_fit,
+                       _fit_check(manifest, "density_expansion_slope", dens_fit)))
 
     t0 = time.time()
     kern_fit = metrics.check_kernel_difference(
         offset_bumpy, eps_list, 1j, config.shell, config.n_theta, config.n_phi)
     manifest.add_timing("check_kernel", time.time() - t0)
-    _fit_check(manifest, "kernel_difference_slope", kern_fit)
-    named_fits.append(("kernel_difference", kern_fit, manifest.checks[-1].passed))
+    named_fits.append(("kernel_difference", kern_fit,
+                       _fit_check(manifest, "kernel_difference_slope", kern_fit)))
 
     _write_csv(out_dir / "checks.csv", "check_name,slope,intercept,max_residual,pass",
                _fits_csv_rows(named_fits), provenance=manifest.config_hash)

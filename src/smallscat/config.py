@@ -41,16 +41,7 @@ class ConfigError(ValueError):
     pass
 
 
-_KNOWN_KEYS = {
-    "shape", "shape.radius", "shape.center", "shape.constant", "shape.coeffs",
-    "pulse.r0", "pulse.R0", "pulse.kreg", "pulse.amplitude", "pulse.center",
-    "epsilons", "shell.r_ff", "shell.R_ff",
-    "freq.omega_max", "freq.n_omega",
-    "time.t_max", "time.n_t", "time.t0",
-    "bem.n_theta", "bem.n_phi",
-    "output_dir", "workers",
-}
-
+# every accepted key, with its default
 _DEFAULTS = {
     "shape": "sphere",
     "shape.radius": "1.0",
@@ -130,7 +121,6 @@ def _parse_coeffs(text: str, key: str):
 
 def parse_config_text(text: str) -> ExperimentConfig:
     values = dict(_DEFAULTS)
-    seen = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -138,10 +128,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key, val = (part.strip() for part in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _DEFAULTS:
             raise ConfigError(f"line {lineno}: unknown configuration key '{key}'")
         values[key] = val
-        seen.append((key, val))
 
     def fnum(key):
         try:
@@ -202,7 +191,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if fnum("freq.omega_max") <= 0 or fnum("time.t_max") <= 0:
         raise ConfigError("freq.omega_max and time.t_max must be positive")
 
-    raw = tuple(sorted({**dict(_DEFAULTS), **dict(seen)}.items()))
+    raw = tuple(sorted(values.items()))
     return ExperimentConfig(
         shape=shape, pulse=pulse, epsilons=epsilons, shell=shell,
         omega_max=fnum("freq.omega_max"), n_omega=inum("freq.n_omega"),

@@ -176,11 +176,14 @@ def _sinhc(x):
 def incident_laplace(pulse: ShellPulse, s: complex, r):
     """Laplace transform u_hat(s, |x| = r) of the incident field.
 
-    Valid for any complex s with |Re s| * max(r, R0) below ~700, where
-    sinh overflows; r may be a scalar or an array of radii.
+    Valid for any complex s with |Re s| * (r + R0) <= 700; beyond that
+    sinh (or, for Re s < 0, the transform itself) overflows, and a
+    ValueError is raised.  r may be a scalar or an array of radii.
     """
     r = np.asarray(r, dtype=float)
     s = complex(s)
+    if abs(s.real) * (np.max(r, initial=0.0) + pulse.R0) > 700.0:
+        raise ValueError(f"|Re s| * (r + R0) exceeds 700 at s = {s}: the transform overflows")
     n = _laplace_quad_order(pulse, s)
     c, which = np.unique(np.clip(r, pulse.r0, pulse.R0), return_inverse=True)
     inner = np.empty(c.shape, dtype=complex)

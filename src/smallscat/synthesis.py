@@ -7,13 +7,14 @@ and inverted with
     u(t, x) = (1/pi) Re int_0^Omega exp(i omega t) u_hat(i omega, x) d omega,
 
 using the conjugate symmetry u_hat(-i omega) = conj(u_hat(i omega)) of real
-signals.  Panels whose phase is oscillatory are integrated Filon-style:
-the integrand samples are converted to Legendre coefficients and the
-oscillatory moments int P_k(x) exp(i kappa x) dx = 2 i^k j_k(kappa) are
-evaluated exactly with spherical Bessel functions, so accuracy is uniform
-in t.  For smooth compactly supported C^k data the integrand decays like
-omega^-(k+1), which makes the truncated imaginary-axis synthesis converge
-without any contour preconditioning.
+signals.  Every panel is integrated Filon-style: the samples it holds are
+fitted by their Legendre interpolant, whose oscillatory moments
+int P_k(x) exp(i kappa x) dx = 2 i^k j_k(kappa) are exact spherical Bessel
+values for every kappa, t = 0 included, so accuracy is uniform in t and a
+node moved off a near-resonance needs no other rule.  For smooth compactly
+supported C^k data the integrand decays like omega^-(k+1), which makes the
+truncated imaginary-axis synthesis converge without any contour
+preconditioning.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .incident import ShellPulse, incident_trace
 logger = logging.getLogger(__name__)
 
 GL_PER_PANEL = 8
-FILON_PHASE_SWITCH = 20.0        # use Filon moments when omega * t_max exceeds this
 CONDITION_LIMIT = 1e6
 TAIL_WARN_RATIO = 1e-4
 
@@ -61,9 +61,12 @@ class ScatteringScenario:
 class FrequencyTable:
     """Sampled integrand u_hat_sc(i omega_j, x_k) of the synthesis integral.
 
-    omegas are composite Gauss nodes (possibly nudged off near-resonances);
-    weights are the matching plain quadrature weights; panel_edges record
-    the composite structure for the Filon inversion.
+    omegas are the nodes the sweep used, in panel order: the composite Gauss
+    nodes, except that a node moved off a near-resonance stays inside its
+    panel, between its neighbours.  panel_edges record the composite
+    structure the Filon inversion fits on; weights are the plain Gauss
+    weights of the unmoved grid, kept for callers that compare tables, and
+    are not used by the inversion.
     """
 
     omegas: np.ndarray           # (n,)
@@ -76,7 +79,9 @@ class FrequencyTable:
 
     def __post_init__(self):
         n, p = self.values.shape
-        if self.omegas.shape != (n,) or self.points.shape != (p, 3):
+        n_panels = len(self.panel_edges) - 1
+        if (self.omegas.shape != (n,) or self.points.shape != (p, 3)
+                or n_panels < 1 or n % n_panels):
             raise ValueError("frequency table dimensions are inconsistent")
         at_zero = self.omegas == 0.0
         if np.any(at_zero):
@@ -112,12 +117,16 @@ class FrequencyTable:
         if points_line.split("=", 1)[1] != _points_digest(points):
             raise ValueError(f"{path}: stored observation points differ from the requested ones")
         panel_edges = np.array([float(v) for v in edges_line.split("=", 1)[1].split(",")])
-        data = np.array([[float(c) for c in row] for row in rows])
-        omegas = np.unique(data[:, 0])
-        n, p = len(omegas), int(np.max(data[:, 1])) + 1
-        values = np.zeros((n, p), dtype=complex)
-        idx = np.searchsorted(omegas, data[:, 0])
-        values[idx, data[:, 1].astype(int)] = data[:, 2] + 1j * data[:, 3]
+        data = np.array([[float(c) for c in row] for row in rows]).reshape(-1, 4)
+        p = points.shape[0]
+        n = len(data) // p
+        block = data[:n * p].reshape(n, p, 4)
+        if (n == 0 or len(data) != n * p or np.any(block[:, :, 1] != np.arange(p))
+                or np.any(block[:, :, 0] != block[:, :1, 0])):
+            raise ValueError(f"{path}: rows do not form a complete omega-major block "
+                             f"of {p} points per node")
+        omegas = block[:, 0, 0].copy()
+        values = block[:, :, 2] + 1j * block[:, :, 3]
         weights = _panel_weights(panel_edges, len(omegas))
         return FrequencyTable(omegas=omegas, weights=weights, panel_edges=panel_edges,
                               points=points, values=values, scenario_hash=scenario_hash)
@@ -179,16 +188,20 @@ _SWEEP_CTX: dict = {}
 def _solve_one(args):
     """One frequency node: solve the BIE, evaluate at the observation points.
 
-    Nudges the node by a half-step (logged) if the solve reports a
-    condition blowup or fails its residual check.
+    If the solve reports a condition blowup or fails its residual check, the
+    node is retried (logged) three quarters of the way to the edge of its
+    cell (lo, hi), first on the roomier side, which faces the panel centre,
+    then on the other.  Cells are disjoint and lie inside the panels, so a
+    moved node stays inside its panel and between its neighbours.
     """
-    idx, omega, step = args
+    idx, omega, lo, hi = args
     grid: SurfaceGrid = _SWEEP_CTX["grid"]
     pulse: ShellPulse = _SWEEP_CTX["pulse"]
     points: np.ndarray = _SWEEP_CTX["points"]
-    om = float(omega)
-    for attempt in range(3):
-        s = 1j * om if om != 0.0 else 0.0
+    near, far = sorted((lo, hi), key=lambda edge: abs(edge - omega))
+    tries = (omega, omega + 0.75 * (far - omega), omega + 0.75 * (near - omega))
+    for om in tries:
+        s = 1j * om
         try:
             g = incident_trace(pulse, s, grid)
             mat = assemble_single_layer(grid, s)
@@ -200,10 +213,8 @@ def _solve_one(args):
             vals = evaluate_potential(grid, lam, s, points)
             return idx, om, vals, diag.condition_estimate
         except NearResonanceError as exc:
-            logger.warning("sweep node omega=%.6f near-resonant (%s); nudging by %.3e",
-                           om, exc, 0.5 * step)
-            om = om + 0.5 * step
-    raise NearResonanceError(f"sweep node omega={omega} failed after nudging")
+            logger.warning("sweep node omega=%.6f near-resonant (%s)", om, exc)
+    raise NearResonanceError(f"sweep node omega={omega} failed at all of {tries}")
 
 
 def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
@@ -219,11 +230,13 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
     grid = build_surface_grid(scenario.shape, scenario.epsilon,
                               scenario.n_theta, scenario.n_phi)
     get_static_core(grid)        # assemble once; forked workers inherit it
-    step = float(np.min(np.diff(nodes)))
+    # a node's cell runs to the midpoints with its neighbours; by the Gauss
+    # symmetry the midpoint across two panels is their common edge
+    cells = np.concatenate([edges[:1], 0.5 * (nodes[1:] + nodes[:-1]), edges[-1:]])
 
     global _SWEEP_CTX
     _SWEEP_CTX = {"grid": grid, "pulse": scenario.pulse, "points": points}
-    tasks = [(j, float(om), step) for j, om in enumerate(nodes)]
+    tasks = [(j, float(om), float(cells[j]), float(cells[j + 1])) for j, om in enumerate(nodes)]
     try:
         if workers > 1:
             import multiprocessing as mp
@@ -271,32 +284,22 @@ def _panel_legendre_coeffs(x_nodes: np.ndarray, vals: np.ndarray) -> np.ndarray:
 def inverse_transform(table: FrequencyTable, times) -> TimeSeries:
     """Synthesize u(t, x) = (1/pi) Re int_0^Omega e^{i omega t} u_hat d omega.
 
-    Panels in the oscillatory regime use exact Legendre-Bessel moments; the
-    remaining panels use the plain Gauss sum, which coincides with the Filon
-    value to interpolation accuracy.
+    Each panel contributes the exact Legendre-Bessel moments of the
+    interpolant through the nodes it holds.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     n_per = len(table.omegas) // table.n_panels
-    t_max = float(np.max(np.abs(times))) if times.size else 0.0
     acc = np.zeros((len(times), table.points.shape[0]), dtype=complex)
 
     for p in range(table.n_panels):
         a, b = table.panel_edges[p], table.panel_edges[p + 1]
         c, h = 0.5 * (a + b), 0.5 * (b - a)
         sl = slice(p * n_per, (p + 1) * n_per)
-        om = table.omegas[sl]
-        vals = table.values[sl]
-        if b * t_max > FILON_PHASE_SWITCH:
-            x_nodes = (om - c) / h
-            coeffs = _panel_legendre_coeffs(x_nodes, vals)        # (n_per, P)
-            kappa = h * times                                     # (T,)
-            moments = np.stack([2.0 * (1j ** k) * spherical_jn(k, kappa)
-                                for k in range(n_per)], axis=1)   # (T, n_per)
-            acc += np.exp(1j * c * times)[:, None] * (h * (moments @ coeffs))
-        else:
-            w = table.weights[sl]
-            phase = np.exp(1j * np.outer(times, om))              # (T, n_per)
-            acc += phase @ (w[:, None] * vals)
+        coeffs = _panel_legendre_coeffs((table.omegas[sl] - c) / h, table.values[sl])
+        kappa = h * times                                         # (T,)
+        moments = np.stack([2.0 * (1j ** k) * spherical_jn(k, kappa)
+                            for k in range(n_per)], axis=1)       # (T, n_per)
+        acc += np.exp(1j * c * times)[:, None] * (h * (moments @ coeffs))
 
     # conjugate extension: the omega < 0 half contributes the exact conjugate
     two_sided = 0.5 * (acc + np.conj(acc)) / math.pi

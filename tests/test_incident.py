@@ -124,6 +124,16 @@ def test_small_s_branch_accuracy(pulse):
     assert abs(incident_laplace(pulse, s, r) - numerical_incident_laplace(pulse, s, r)) < 1e-10
 
 
+def test_laplace_overflow_range(pulse):
+    # past |Re s| (r + R0) = 700 sinh overflows: refuse instead of returning nan
+    for s in (300.0, 250.0 + 1j, -130.0):
+        with pytest.raises(ValueError):
+            incident_laplace(pulse, s, 2.5)
+    s = 100.0
+    assert incident_laplace(pulse, s, 2.5) == pytest.approx(
+        numerical_incident_laplace(pulse, s, 2.5).real, rel=1e-10)
+
+
 # -- traces ------------------------------------------------------------------
 def test_trace_constant_on_centered_sphere(pulse, sphere):
     grid = build_surface_grid(sphere, 0.1, 8, 16)

@@ -6,6 +6,7 @@ import pytest
 from smallscat import synthesis
 from smallscat.asymptotic import PointScattererModel, point_scatterer_time
 from smallscat.bem import NearResonanceError, capacitance
+from smallscat.cli import _cached_table
 from smallscat.geometry import StarShape
 from smallscat.sphere_oracle import (
     SphereScenario, sphere_scattered_frequency, sphere_scattered_time,
@@ -173,6 +174,72 @@ def test_table_csv_roundtrip(table, tmp_path):
     path2 = tmp_path / "table2.csv"
     loaded.save_csv(path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_truncated_table_is_rejected(table, tmp_path):
+    path = tmp_path / "table.csv"
+    table.save_csv(path)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(ValueError):
+        FrequencyTable.load_csv(path, table.points)
+
+
+def test_cached_table_recomputes_truncated_table(scenario, tmp_path):
+    # two points per node: dropping the last row leaves every omega present
+    nodes, weights, edges = build_frequency_grid(10.0, 16)
+    points = np.array([[2.5, 0.0, 0.0], [0.0, 3.0, 0.0]])
+    values = np.outer(np.exp(-1j * nodes), [1.0, 0.5])
+    full = FrequencyTable(omegas=nodes, weights=weights, panel_edges=edges, points=points,
+                          values=values, scenario_hash=scenario.content_hash())
+    path = tmp_path / "table.csv"
+    full.save_csv(path)
+    assert _cached_table(path, points, scenario, len(nodes), edges) is not None
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+    with pytest.raises(ValueError, match="omega-major block"):
+        FrequencyTable.load_csv(path, points)
+    assert _cached_table(path, points, scenario, len(nodes), edges) is None
+
+
+def test_inversion_fits_the_nodes_used(oracle):
+    # an exact table whose node 7 has moved by half the smallest node gap,
+    # onto the edge of panel 0: the fit through the nodes used stays exact
+    nodes, weights, edges = build_frequency_grid(40.0, 400)
+    nodes[7] += 0.5 * np.min(np.diff(nodes))
+    values = np.array([sphere_scattered_frequency(oracle, 1j * om, 2.5) for om in nodes])
+    moved = FrequencyTable(omegas=nodes, weights=weights, panel_edges=edges,
+                           points=np.array([[2.5, 0.0, 0.0]]), values=values[:, None],
+                           scenario_hash="oracle")
+    times = np.linspace(0.0, 10.0, 201)
+    exact = sphere_scattered_time(oracle, times, 2.5)
+    err = np.max(np.abs(inverse_transform(moved, times).values[:, 0] - exact))
+    assert err <= 1e-5 * np.max(np.abs(exact))
+
+
+@pytest.mark.filterwarnings("ignore:frequency tail not resolved")
+@pytest.mark.parametrize("failures", [1, 2])
+def test_nudged_node_stays_in_its_cell(pulse, point, monkeypatch, failures):
+    # the last node of panel 0 fails its first solves: it is retried three
+    # quarters of the way to its cell's edge, toward the panel centre first
+    # and then toward the panel edge
+    real_solve = synthesis.solve_density_with_diagnostics
+    calls = []
+
+    def flaky_solve(mat, rhs):
+        calls.append(None)
+        if 8 <= len(calls) < 8 + failures:
+            raise NearResonanceError("injected failure")
+        return real_solve(mat, rhs)
+
+    monkeypatch.setattr(synthesis, "solve_density_with_diagnostics", flaky_solve)
+    scn = ScatteringScenario(StarShape.sphere(), 0.1, pulse, n_theta=8, n_phi=16)
+    t = frequency_sweep(scn, point, omega_max=10.0, n_omega=16)
+    nodes, _, edges = build_frequency_grid(10.0, 16)
+    cell_edge = 0.5 * (nodes[7] + nodes[6 if failures == 1 else 8])
+    assert len(calls) == 16 + failures
+    assert t.omegas[7] == pytest.approx(nodes[7] + 0.75 * (cell_edge - nodes[7]), rel=1e-14)
+    assert edges[0] < t.omegas[7] < edges[1]
+    assert np.all(np.diff(t.omegas) > 0)
+    assert np.array_equal(np.delete(t.omegas, 7), np.delete(nodes, 7))
 
 
 @pytest.mark.filterwarnings("ignore:frequency tail not resolved")
