@@ -79,6 +79,7 @@ class NearFieldEvaluationError(ValueError):
 class _StaticCore:
     matrix: np.ndarray          # (N, N) real: corrected static kernel 1/(4 pi d)
     linear_correction: np.ndarray   # (N, N) real: correction for the kernel d
+    distances: np.ndarray       # (N, N) real: node distances, unit diagonal
     window: float               # blending width W, physical length units
 
 
@@ -175,15 +176,21 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
     # carries the same cone singularity as 1/d and is corrected with it.
     matrix = np.zeros((N, N))
     cmat = np.zeros((N, N))
-    block = max(1, int(2.0e7 // N))
+    dist = np.empty((N, N))
+    # row blocks of about 2e5 entries: the far part's temporaries stay a few
+    # MB, well below the core's own three N x N arrays
+    block = max(1, int(2.0e5 // N))
     for lo in range(0, N, block):
         hi = min(N, lo + block)
         diff = grid.nodes[lo:hi, None, :] - grid.nodes[None, :, :]
-        d2 = np.sum(diff * diff, axis=-1)
+        d2 = np.sum(np.square(diff, out=diff), axis=-1)     # squared in place
+        del diff
         if np.min(d2 + np.eye(hi - lo, N, k=lo)) <= 0.0:
             raise GridDegenerateError("coincident distinct grid nodes")
+        np.sqrt(d2, out=dist[lo:hi])
         matrix[lo:hi] = _q_blend(d2, W) * grid.weights[None, :] / (4.0 * math.pi)
-        cmat[lo:hi] = -np.exp(-d2 / W2) * np.sqrt(d2) * grid.weights[None, :]
+        cmat[lo:hi] = -np.exp(-d2 / W2) * dist[lo:hi] * grid.weights[None, :]
+    np.fill_diagonal(dist, 1.0)
 
     # --- local part: rotated polar integration with grid interpolation ---
     r_min = float(np.min(grid.radial_values))
@@ -265,28 +272,17 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
                 np.add.at(target[a * grid.n_phi + b].reshape(grid.n_theta, grid.n_phi),
                           (real_rows,), contrib)
 
-    return _StaticCore(matrix=matrix, linear_correction=cmat, window=W)
+    return _StaticCore(matrix=matrix, linear_correction=cmat, distances=dist, window=W)
 
 
 def get_static_core(grid: SurfaceGrid) -> _StaticCore:
-    """Static-kernel Nystrom matrix, computed once per grid and cached on it."""
+    """Static-kernel Nystrom matrix and node distances, computed once per
+    grid and cached on it."""
     core = getattr(grid, "_static_core", None)
     if core is None:
         core = _static_core(grid)
         object.__setattr__(grid, "_static_core", core)
     return core
-
-
-def _node_distances(grid: SurfaceGrid) -> np.ndarray:
-    """Pairwise node distances with unit diagonal, cached on the grid
-    (reused by every frequency of a sweep)."""
-    dist = getattr(grid, "_node_distances", None)
-    if dist is None:
-        diff = grid.nodes[:, None, :] - grid.nodes[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        np.fill_diagonal(dist, 1.0)
-        object.__setattr__(grid, "_node_distances", dist)
-    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -313,12 +309,19 @@ def assemble_single_layer(grid: SurfaceGrid, s: complex) -> SingleLayerMatrix:
     s = complex(s)
     if s == 0:
         return SingleLayerMatrix(matrix=core.matrix.copy(), s=s, grid=grid)
-    dist = _node_distances(grid)
-    rem = np.expm1(-s * dist) / (4.0 * math.pi * dist) * grid.weights[None, :]
-    np.fill_diagonal(rem, -s / (4.0 * math.pi) * grid.weights)
+    dist = core.distances
+    # the remainder, then the static part, accumulated in the returned
+    # matrix: the solving thread holds no other N x N complex array but
+    # the correction term below
+    mat = np.multiply(-s, dist)
+    np.expm1(mat, out=mat)
+    mat /= 4.0 * math.pi * dist
+    mat *= grid.weights[None, :]
+    np.fill_diagonal(mat, -s / (4.0 * math.pi) * grid.weights)
+    mat += core.matrix
     # the remainder's odd expansion term s^2 d / (8 pi) is cone-singular at
     # the diagonal; re-route it through the precomputed local correction
-    mat = core.matrix + rem + (s * s / (8.0 * math.pi)) * core.linear_correction
+    mat += (s * s / (8.0 * math.pi)) * core.linear_correction
     if s.imag == 0.0:
         mat = mat.real
     return SingleLayerMatrix(matrix=mat, s=s, grid=grid)

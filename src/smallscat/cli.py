@@ -273,8 +273,7 @@ def _cached_table(path: Path, points: np.ndarray, scenario: ScatteringScenario,
     return cached
 
 
-def _sweep_tables(config: ExperimentConfig, out_dir: Path, manifest: RunManifest,
-                  write: bool = True) -> dict:
+def _sweep_tables(config: ExperimentConfig, out_dir: Path, manifest: RunManifest) -> dict:
     """One frequency table per scale; reuses an on-disk table built for the
     same scenario and frequency grid."""
     pts, _ = _observation_rule(config)
@@ -292,9 +291,8 @@ def _sweep_tables(config: ExperimentConfig, out_dir: Path, manifest: RunManifest
         table = frequency_sweep(scenario, pts, config.omega_max, config.n_omega,
                                 workers=config.workers)
         manifest.add_timing(f"sweep_eps_{eps:g}", time.time() - t0)
-        if write:
-            table.save_csv(path)
-            manifest.add_file(path)
+        table.save_csv(path)
+        manifest.add_file(path)
         tables[eps] = table
     return tables
 
@@ -478,7 +476,8 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", type=str, default=None, help="config file path")
     parser.add_argument("--out", type=str, default=None, help="output directory")
-    parser.add_argument("--workers", type=int, default=None, help="parallel workers")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="frequency nodes solved at once, on threads")
     parser.add_argument("-v", "--verbose", action="store_true")
     args = parser.parse_args(argv)
 
@@ -488,6 +487,8 @@ def main(argv=None) -> int:
     try:
         config = parse_config_file(args.config) if args.config else default_config()
         if args.workers is not None:
+            if args.workers < 1:
+                raise ConfigError("key 'workers' must be >= 1")
             import dataclasses
             config = dataclasses.replace(config, workers=args.workers)
         out_dir = args.out if args.out else config.output_dir

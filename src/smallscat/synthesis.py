@@ -1,8 +1,8 @@
 """Time-domain scattered field by imaginary-axis frequency synthesis.
 
 The scattered field is sampled at s = i omega on a composite Gauss grid
-over [0, Omega_max] (one dense solve per node, embarrassingly parallel)
-and inverted with
+over [0, Omega_max] (one dense solve per node; the nodes are independent
+and are solved on a thread pool) and inverted with
 
     u(t, x) = (1/pi) Re int_0^Omega exp(i omega t) u_hat(i omega, x) d omega,
 
@@ -23,6 +23,7 @@ import hashlib
 import logging
 import math
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ from scipy.special import spherical_jn
 
 from .bem import NearResonanceError, assemble_single_layer, evaluate_potential, \
     get_static_core, solve_density_with_diagnostics
-from .geometry import StarShape, SurfaceGrid, build_surface_grid, gauss_legendre
+from .geometry import StarShape, build_surface_grid, gauss_legendre
 from .incident import ShellPulse, incident_trace
 
 logger = logging.getLogger(__name__)
@@ -181,80 +182,59 @@ def build_frequency_grid(omega_max: float, n_omega: int):
     return nodes, weights, edges
 
 
-# -- worker state for forked pools ------------------------------------------
-_SWEEP_CTX: dict = {}
-
-
-def _solve_one(args):
-    """One frequency node: solve the BIE, evaluate at the observation points.
-
-    If the solve reports a condition blowup or fails its residual check, the
-    node is retried (logged) three quarters of the way to the edge of its
-    cell (lo, hi), first on the roomier side, which faces the panel centre,
-    then on the other.  Cells are disjoint and lie inside the panels, so a
-    moved node stays inside its panel and between its neighbours.
-    """
-    idx, omega, lo, hi = args
-    grid: SurfaceGrid = _SWEEP_CTX["grid"]
-    pulse: ShellPulse = _SWEEP_CTX["pulse"]
-    points: np.ndarray = _SWEEP_CTX["points"]
-    near, far = sorted((lo, hi), key=lambda edge: abs(edge - omega))
-    tries = (omega, omega + 0.75 * (far - omega), omega + 0.75 * (near - omega))
-    for om in tries:
-        s = 1j * om
-        try:
-            g = incident_trace(pulse, s, grid)
-            mat = assemble_single_layer(grid, s)
-            lam, diag = solve_density_with_diagnostics(mat, -g)
-            if diag.condition_estimate > CONDITION_LIMIT:
-                raise NearResonanceError(
-                    f"condition estimate {diag.condition_estimate:.3e} above limit",
-                    s=s, condition_estimate=diag.condition_estimate)
-            vals = evaluate_potential(grid, lam, s, points)
-            return idx, om, vals, diag.condition_estimate
-        except NearResonanceError as exc:
-            logger.warning("sweep node omega=%.6f near-resonant (%s)", om, exc)
-    raise NearResonanceError(f"sweep node omega={omega} failed at all of {tries}")
-
-
 def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
                     omega_max: float = 40.0, n_omega: int = 400,
                     workers: int = 1) -> FrequencyTable:
     """Sample u_hat_sc(i omega, x) on the composite frequency grid.
 
-    One dense solve per node, parallel over nodes; results are merged in
-    deterministic node order regardless of the worker count.
+    One dense solve per node; `workers` nodes are solved at once on threads
+    (numpy and LAPACK release the GIL), and the results come back in node
+    order whatever the worker count.  If a solve reports a condition blowup
+    or fails its residual check, the node is retried (logged) three quarters
+    of the way to the edge of its cell, first on the roomier side, which
+    faces the panel centre, then on the other.  Cells are disjoint and lie
+    inside the panels, so a moved node stays inside its panel and between
+    its neighbours.  A node that fails all three tries raises
+    NearResonanceError, and the nodes not yet started are cancelled.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     nodes, weights, edges = build_frequency_grid(omega_max, n_omega)
     grid = build_surface_grid(scenario.shape, scenario.epsilon,
                               scenario.n_theta, scenario.n_phi)
-    get_static_core(grid)        # assemble once; forked workers inherit it
     # a node's cell runs to the midpoints with its neighbours; by the Gauss
     # symmetry the midpoint across two panels is their common edge
     cells = np.concatenate([edges[:1], 0.5 * (nodes[1:] + nodes[:-1]), edges[-1:]])
 
-    global _SWEEP_CTX
-    _SWEEP_CTX = {"grid": grid, "pulse": scenario.pulse, "points": points}
-    tasks = [(j, float(om), float(cells[j]), float(cells[j + 1])) for j, om in enumerate(nodes)]
-    try:
-        if workers > 1:
-            import multiprocessing as mp
-            with mp.get_context("fork").Pool(workers) as pool:
-                results = pool.map(_solve_one, tasks)
-        else:
-            results = [_solve_one(t) for t in tasks]
-    finally:
-        # release the grid and its static core before the caller builds the next
-        _SWEEP_CTX = {}
+    def solve(j: int):
+        omega, lo, hi = float(nodes[j]), float(cells[j]), float(cells[j + 1])
+        near, far = sorted((lo, hi), key=lambda edge: abs(edge - omega))
+        tries = (omega, omega + 0.75 * (far - omega), omega + 0.75 * (near - omega))
+        for om in tries:
+            s = 1j * om
+            try:
+                g = incident_trace(scenario.pulse, s, grid)
+                mat = assemble_single_layer(grid, s)
+                lam, diag = solve_density_with_diagnostics(mat, -g)
+                if diag.condition_estimate > CONDITION_LIMIT:
+                    raise NearResonanceError(
+                        f"condition estimate {diag.condition_estimate:.3e} above limit",
+                        s=s, condition_estimate=diag.condition_estimate)
+                return om, evaluate_potential(grid, lam, s, points), diag.condition_estimate
+            except NearResonanceError as exc:
+                # the message only: a kept record must not pin the grid
+                # through the exception's traceback
+                logger.warning("sweep node omega=%.6f near-resonant (%s)", om, str(exc))
+        raise NearResonanceError(f"sweep node omega={omega} failed at all of {tries}")
 
-    omegas = np.array(nodes, dtype=float)
-    values = np.empty((len(nodes), points.shape[0]), dtype=complex)
-    worst_cond = 0.0
-    for idx, om_used, vals, cond in results:
-        omegas[idx] = om_used
-        values[idx] = vals
-        worst_cond = max(worst_cond, cond)
+    with ThreadPoolExecutor(workers) as pool:
+        # the static core is built once, before any node starts, on a pool
+        # thread: each thread allocates from its own malloc arena, and there
+        # the nodes reuse what the core's temporaries freed
+        pool.submit(get_static_core, grid).result()
+        used, rows, conds = zip(*pool.map(solve, range(len(nodes))))
+    omegas = np.array(used)
+    values = np.array(rows)
+    worst_cond = max(conds)
     logger.info("sweep eps=%.3g: %d nodes, worst condition estimate %.3e",
                 scenario.epsilon, len(nodes), worst_cond)
 

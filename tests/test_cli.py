@@ -160,6 +160,13 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "capacitance_value: PASS" in out
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_flag_below_one_rejected(tmp_path, capsys, workers):
+    assert main(["sweep", "--workers", workers, "--out", str(tmp_path)]) == 2
+    assert "key 'workers' must be >= 1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_shape_and_pulse_validation_become_config_errors():
     from smallscat.config import parse_config_text
     with pytest.raises(ConfigError, match="shape"):

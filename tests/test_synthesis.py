@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -259,11 +261,43 @@ def test_tail_warning_when_underresolved(pulse, point):
 
 @pytest.mark.filterwarnings("ignore:frequency tail not resolved")
 def test_sweep_releases_worker_state(pulse, point, monkeypatch):
+    # the grid a sweep builds, with its static core, is freed when the sweep
+    # ends, whether it finishes or raises
+    real_grid = synthesis.build_surface_grid
+    grids = []
+
+    def recording_grid(*args):
+        grid = real_grid(*args)
+        grids.append(weakref.ref(grid))
+        return grid
+
+    monkeypatch.setattr(synthesis, "build_surface_grid", recording_grid)
     scn = ScatteringScenario(StarShape.sphere(), 0.1, pulse, n_theta=8, n_phi=16)
     frequency_sweep(scn, point, omega_max=10.0, n_omega=8)
-    assert synthesis._SWEEP_CTX == {}
+    gc.collect()
+    assert len(grids) == 1 and grids[0]() is None
     # every node fails its condition gate, so the sweep raises mid-loop
     monkeypatch.setattr(synthesis, "CONDITION_LIMIT", 0.0)
     with pytest.raises(NearResonanceError):
         frequency_sweep(scn, point, omega_max=10.0, n_omega=8)
-    assert synthesis._SWEEP_CTX == {}
+    gc.collect()
+    assert len(grids) == 2 and grids[1]() is None
+
+
+@pytest.mark.filterwarnings("ignore:frequency tail not resolved")
+def test_failed_node_cancels_pending_nodes(pulse, point, monkeypatch):
+    # every node fails its condition gate: the first failure leaves the
+    # sweep, and the nodes no worker has started are never solved
+    real_solve = synthesis.solve_density_with_diagnostics
+    calls = []
+
+    def counting_solve(mat, rhs):
+        calls.append(None)
+        return real_solve(mat, rhs)
+
+    monkeypatch.setattr(synthesis, "solve_density_with_diagnostics", counting_solve)
+    monkeypatch.setattr(synthesis, "CONDITION_LIMIT", 0.0)
+    scn = ScatteringScenario(StarShape.sphere(), 0.1, pulse, n_theta=8, n_phi=16)
+    with pytest.raises(NearResonanceError, match="failed at all of"):
+        frequency_sweep(scn, point, omega_max=10.0, n_omega=80, workers=2)
+    assert 3 <= len(calls) < 3 * 80
