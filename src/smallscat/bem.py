@@ -14,7 +14,9 @@ piece integrated per collocation node in rotated polar coordinates (the
 polar Jacobian cancels the 1/|x-y| singularity).  Within the cap the
 density is reconstructed from grid values by trigonometric interpolation
 along each phi-ring and barycentric Lagrange interpolation across
-theta-rings (through-pole continuation handled by reflection).  The same
+theta-rings (through-pole continuation handled by reflection).  The nodes
+of a theta-ring share one such stencil through the azimuthal turn: it is
+built once per ring and applied one source ring at a time.  The same
 pass builds a second correction matrix for the kernel |x-y|, which repairs
 the remainder's leading odd term s^2 |x-y| / 2 at every frequency for free.
 
@@ -80,7 +82,6 @@ class _StaticCore:
     matrix: np.ndarray          # (N, N) real: corrected static kernel 1/(4 pi d)
     linear_correction: np.ndarray   # (N, N) real: correction for the kernel d
     distances: np.ndarray       # (N, N) real: node distances, unit diagonal
-    window: float               # blending width W, physical length units
 
 
 def _window_width(grid: SurfaceGrid) -> float:
@@ -113,14 +114,10 @@ def _trig_interp_weights(n: int, x: np.ndarray) -> np.ndarray:
     x_b = 2 pi b / n, evaluated at azimuths x.  Returns (len(x), n)."""
     b = 2.0 * math.pi * np.arange(n) / n
     u = x[:, None] - b[None, :]
-    out = np.empty((len(x), n))
     small = np.abs(np.remainder(u + math.pi, 2.0 * math.pi) - math.pi) < 1e-12
-    if n % 2 == 0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.sin(0.5 * n * u) / (n * np.tan(0.5 * u))
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.sin(0.5 * n * u) / (n * np.sin(0.5 * u))
+    den = np.tan(0.5 * u) if n % 2 == 0 else np.sin(0.5 * u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.sin(0.5 * n * u) / (n * den)
     out[small] = 1.0
     return out
 
@@ -216,14 +213,16 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
     nq = len(gq)
 
     theta_ext, ext_rows, ext_flags = _extended_theta(grid)
-    dtheta_max = np.max(np.diff(grid.theta))
-    span = gamma_max + STENCIL_MARGIN * dtheta_max
-
-    # All rows on a theta-ring share the same polar cloud up to an azimuth
-    # rotation: theta* is ring-invariant, phi* shifts by the node azimuth,
-    # so the interpolation matrices are built once per ring and the result
-    # rolled in phi.
-    for a in range(grid.n_theta):
+    span = gamma_max + STENCIL_MARGIN * np.max(np.diff(grid.theta))
+    n_theta, n_phi = grid.n_theta, grid.n_phi
+    fold_ext = (ext_rows[:, None] == np.arange(n_theta)[None, :]).astype(float)
+    # turn[b, c] = (c - b) mod n_phi: the phi-column read by node b of a ring
+    turn = (np.arange(n_phi)[None, :] - np.arange(n_phi)[:, None]) % n_phi
+    # All nodes of a theta-ring share one interpolation stencil through the
+    # azimuthal turn: theta* is ring-invariant and phi* shifts by the node
+    # azimuth, so the stencil is built once per ring at phi = 0 and each
+    # source ring's share reaches node b with its phi-columns turned by b.
+    for a in range(n_theta):
         th_a = grid.theta[a]
         ct, st = math.cos(th_a), math.sin(th_a)
         # rotation R_y(theta_a): cloud for the (a, phi=0) node
@@ -236,43 +235,43 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
         lo = np.searchsorted(theta_ext, th_a - span)
         hi = np.searchsorted(theta_ext, th_a + span)
         flags = ext_flags[lo:hi]
-        real_rows = ext_rows[lo:hi]
+        fold = fold_ext[lo:hi]
         L = _barycentric_eval_matrix(theta_ext[lo:hi], th_q)       # (nq, n_rows)
-        T0 = _trig_interp_weights(grid.n_phi, ph_q0)               # (nq, n_phi)
-        T1 = _trig_interp_weights(grid.n_phi, ph_q0 + math.pi)
+        # barycentric weights folded onto the real rings (reflected rows: T1)
+        R0 = L[:, ~flags] @ fold[~flags]                           # (nq, n_theta)
+        R1 = L[:, flags] @ fold[flags]
+        T0 = _trig_interp_weights(n_phi, ph_q0)                    # (nq, n_phi)
+        T1 = _trig_interp_weights(n_phi, ph_q0 + math.pi)
 
         # ring geometry: rotate the phi=0 cloud to every azimuth at once
         cb, sb = np.cos(grid.phi), np.sin(grid.phi)
-        ydirs = np.empty((grid.n_phi, nq, 3))
+        ydirs = np.empty((n_phi, nq, 3))
         ydirs[:, :, 0] = cb[:, None] * ydirs0[None, :, 0] - sb[:, None] * ydirs0[None, :, 1]
         ydirs[:, :, 1] = sb[:, None] * ydirs0[None, :, 0] + cb[:, None] * ydirs0[None, :, 1]
         ydirs[:, :, 2] = ydirs0[None, :, 2]
         ph_q = (ph_q0[None, :] + grid.phi[:, None]) % (2.0 * math.pi)
-        th_q_ring = np.broadcast_to(th_q, (grid.n_phi, nq))
+        th_q_ring = np.broadcast_to(th_q, (n_phi, nq))
         r_q, rt_q, rp_q = grid.shape.radial_derivatives(th_q_ring, ph_q)
-        st_q = np.maximum(np.sin(th_q_ring), 1e-300)
-        rp_over = rp_q / st_q
+        rp_over = rp_q / np.maximum(np.sin(th_q_ring), 1e-300)
         jac_q = r_q * np.sqrt(r_q ** 2 + rt_q ** 2 + rp_over ** 2)
         ypts = grid.epsilon * (grid.shape.center[None, None, :] + r_q[..., None] * ydirs)
 
-        node_slice = slice(a * grid.n_phi, (a + 1) * grid.n_phi)
+        node_slice = slice(a * n_phi, (a + 1) * n_phi)
         dist_q = np.linalg.norm(ypts - grid.nodes[node_slice][:, None, :], axis=2)
         base = wq[None, :] * jac_q * eps2
-        fker_ring = base * _local_difference_kernel(dist_q, W) / (4.0 * math.pi)
-        cker_ring = base * np.exp(-dist_q * dist_q / W2) * dist_q
+        kernels = np.concatenate([base * _local_difference_kernel(dist_q, W) / (4.0 * math.pi),
+                                  base * np.exp(-dist_q * dist_q / W2) * dist_q])  # (2 n_phi, nq)
 
-        for b in range(grid.n_phi):
-            for target, fker in ((matrix, fker_ring[b]), (cmat, cker_ring[b])):
-                contrib = np.empty((hi - lo, grid.n_phi))
-                if np.any(~flags):
-                    contrib[~flags] = (L[:, ~flags] * fker[:, None]).T @ T0
-                if np.any(flags):
-                    contrib[flags] = (L[:, flags] * fker[:, None]).T @ T1
-                contrib = np.roll(contrib, b, axis=1)
-                np.add.at(target[a * grid.n_phi + b].reshape(grid.n_theta, grid.n_phi),
-                          (real_rows,), contrib)
+        # the ring's rows, viewed as (node b, source ring t, source column c)
+        rows_m = matrix[node_slice].reshape(n_phi, n_theta, n_phi)
+        rows_c = cmat[node_slice].reshape(n_phi, n_theta, n_phi)
+        for t in np.flatnonzero(fold.any(axis=0)):
+            w_t = R0[:, t, None] * T0 + R1[:, t, None] * T1             # (nq, n_phi)
+            part = np.take_along_axis((kernels @ w_t).reshape(2, n_phi, n_phi), turn[None], axis=2)
+            rows_m[:, t] += part[0]
+            rows_c[:, t] += part[1]
 
-    return _StaticCore(matrix=matrix, linear_correction=cmat, distances=dist, window=W)
+    return _StaticCore(matrix=matrix, linear_correction=cmat, distances=dist)
 
 
 def get_static_core(grid: SurfaceGrid) -> _StaticCore:

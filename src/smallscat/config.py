@@ -180,10 +180,19 @@ def parse_config_text(text: str) -> ExperimentConfig:
         shell = ShellRegion(fnum("shell.r_ff"), fnum("shell.R_ff"))
     except ValueError as exc:
         raise ConfigError(f"invalid shell.* configuration: {exc}") from exc
+    if shell.outer <= shell.inner:
+        raise ConfigError(f"key 'shell.R_ff' must exceed shell.r_ff = {shell.inner}, "
+                          f"got {shell.outer}")
     if max(epsilons) >= min(pulse.r0, shell.inner) / 4.0:
         raise ConfigError(
             f"key 'epsilons': max eps {max(epsilons)} must be < min(r0, r_ff)/4 "
             f"= {min(pulse.r0, shell.inner) / 4.0}")
+    # every StarShape lies in the unit ball, so the obstacle then sits in
+    # the pulse's hole at every scale
+    reach = pulse.origin_distance + max(epsilons)
+    if reach >= pulse.r0:
+        raise ConfigError(f"key 'pulse.center': |center| + max eps = {reach} "
+                          f"must be < pulse.r0 = {pulse.r0}")
     for key, lo in (("freq.n_omega", 1), ("time.n_t", 2), ("bem.n_theta", 4),
                     ("bem.n_phi", 4), ("workers", 1)):
         if inum(key) < lo:

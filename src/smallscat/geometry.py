@@ -67,10 +67,9 @@ class StarShape:
         r = self.radial(TH, PH)
         if np.min(r) <= 0.0:
             raise ShapeInvalidError(f"radial function not strictly positive (min {np.min(r):.3e})")
-        if np.max(np.abs(self.center)) + np.max(r) > 1.0 + 1e-12:
-            raise ShapeInvalidError(
-                f"surface exceeds the unit ball (max |x| ~ {np.max(np.abs(self.center)) + np.max(r):.4f})"
-            )
+        reach = float(np.linalg.norm(self.center)) + float(np.max(r))
+        if reach > 1.0 + 1e-12:
+            raise ShapeInvalidError(f"surface exceeds the unit ball (max |x| ~ {reach:.4f})")
 
     @property
     def is_sphere(self) -> bool:

@@ -113,12 +113,13 @@ class FrequencyTable:
             points_line = fh.readline().strip()
             edges_line = fh.readline().strip()
             fh.readline()
-            rows = [line.strip().split(",") for line in fh if line.strip()]
+            with warnings.catch_warnings():     # a header-only file is rejected below
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2).reshape(-1, 4)
         scenario_hash = header.split("=", 1)[1]
         if points_line.split("=", 1)[1] != _points_digest(points):
             raise ValueError(f"{path}: stored observation points differ from the requested ones")
         panel_edges = np.array([float(v) for v in edges_line.split("=", 1)[1].split(",")])
-        data = np.array([[float(c) for c in row] for row in rows]).reshape(-1, 4)
         p = points.shape[0]
         n = len(data) // p
         block = data[:n * p].reshape(n, p, 4)

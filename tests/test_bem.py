@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import sph_harm_y, spherical_in, spherical_kn
 
 from smallscat.bem import (
     NearFieldEvaluationError, NearResonanceError, assemble_single_layer,
@@ -62,6 +63,21 @@ def test_kernel_symmetry_up_to_correction(bumpy):
     assert np.max(asym) < 0.25 * np.max(np.abs(K))
     assert np.max(asym[sep > 2.0]) < 1e-3
     assert np.max(asym[sep > 2.6]) < 1e-5
+
+
+@pytest.mark.parametrize("l, m", [(1, 1), (2, -1), (3, 2), (4, 3)])
+def test_sphere_harmonics_are_eigenvectors(sphere_grid, l, m):
+    # S(s) Y_lm = lambda_l(s) Y_lm on the unit sphere.  A non-constant,
+    # azimuth-odd density checks that the local correction reaches every
+    # node of a ring with the right turn (the sine-type (2, -1) catches a
+    # reversed one); s = 2i also exercises the linear correction.
+    TH, PH = np.meshgrid(sphere_grid.theta, sphere_grid.phi, indexing="ij")
+    y = sph_harm_y(l, abs(m), TH.ravel(), PH.ravel())
+    Y = np.real(y) if m >= 0 else np.imag(y)
+    for s, lam, tol in ((0.0, 1.0 / (2 * l + 1), 1e-7),
+                        (2j, 2.0 / math.pi * 2j * spherical_in(l, 2j) * spherical_kn(l, 2j), 1e-4)):
+        SY = assemble_single_layer(sphere_grid, s).matrix @ Y
+        assert np.max(np.abs(SY - lam * Y)) < tol * np.max(np.abs(lam * Y))
 
 
 # -- solves ------------------------------------------------------------------

@@ -175,3 +175,23 @@ def test_shape_and_pulse_validation_become_config_errors():
         parse_config_text("pulse.r0 = 0.5\n")
     with pytest.raises(ConfigError, match="shell"):
         parse_config_text("shell.r_ff = 0.2\n")
+
+
+def test_degenerate_shell_rejected(tmp_path, capsys):
+    # an empty shell rule used to crash the sweep in evaluate_potential
+    with pytest.raises(ConfigError, match="shell.R_ff"):
+        parse_config_text("shell.r_ff = 2.5\nshell.R_ff = 2.5\n")
+    cfg = tmp_path / "flat.cfg"
+    cfg.write_text(TINY_CONFIG + "shell.r_ff = 2.5\nshell.R_ff = 2.5\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "shell.R_ff" in capsys.readouterr().err
+
+
+def test_pulse_center_outside_hole_rejected(tmp_path, capsys):
+    # the obstacle must sit in the pulse's hole: |center| + max eps < r0
+    with pytest.raises(ConfigError, match="pulse.center"):
+        parse_config_text("pulse.center = 1.9, 0, 0\n")
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(TINY_CONFIG + "pulse.center = 2.5, 0, 0\n")
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "pulse.center" in capsys.readouterr().err

@@ -74,6 +74,12 @@ def test_shape_invariants_enforced():
         StarShape(constant=0.8, harmonics=((2, 3, 0.1),))     # |m| > l
 
 
+def test_unit_ball_check_uses_euclidean_center_norm():
+    # max-norm 0.3 + 0.7 = 1 would pass; the surface reaches |x| = 1.124
+    with pytest.raises(ShapeInvalidError, match="unit ball"):
+        StarShape(center=(0.3, 0.3, 0.0), constant=0.7)
+
+
 def test_shipped_shapes_valid():
     for shape in (StarShape.sphere(), StarShape.bumpy_sphere(),
                   StarShape.offset_bumpy_sphere()):
@@ -82,7 +88,7 @@ def test_shipped_shapes_valid():
         r = shape.radial(th[:, None], ph[None, :])
         assert np.min(r) >= 0.5 or shape is not StarShape.bumpy_sphere()
         assert np.min(r) > 0
-        assert np.max(np.abs(shape.center)) + np.max(r) <= 1.0 + 1e-12
+        assert np.linalg.norm(shape.center) + np.max(r) <= 1.0 + 1e-12
 
 
 def test_radial_derivatives_match_finite_differences(bumpy):

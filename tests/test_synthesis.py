@@ -186,6 +186,14 @@ def test_truncated_table_is_rejected(table, tmp_path):
         FrequencyTable.load_csv(path, table.points)
 
 
+def test_header_only_table_is_rejected(table, tmp_path):
+    path = tmp_path / "table.csv"
+    table.save_csv(path)
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[:4]))
+    with pytest.raises(ValueError, match="omega-major block"):
+        FrequencyTable.load_csv(path, table.points)
+
+
 def test_cached_table_recomputes_truncated_table(scenario, tmp_path):
     # two points per node: dropping the last row leaves every omega present
     nodes, weights, edges = build_frequency_grid(10.0, 16)
