@@ -123,10 +123,9 @@ def _trig_interp_weights(n: int, x: np.ndarray) -> np.ndarray:
 
 
 def _barycentric_weights(nodes: np.ndarray) -> np.ndarray:
-    w = np.ones(len(nodes))
-    for k in range(len(nodes)):
-        d = nodes[k] - np.delete(nodes, k)
-        w[k] = 1.0 / np.prod(d)
+    d = nodes[:, None] - nodes[None, :]
+    np.fill_diagonal(d, 1.0)            # w_k = 1 / prod_{j != k} (x_k - x_j)
+    w = 1.0 / np.prod(d, axis=1)
     return w / np.max(np.abs(w))
 
 
@@ -250,9 +249,10 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
         ydirs[:, :, 1] = sb[:, None] * ydirs0[None, :, 0] + cb[:, None] * ydirs0[None, :, 1]
         ydirs[:, :, 2] = ydirs0[None, :, 2]
         ph_q = (ph_q0[None, :] + grid.phi[:, None]) % (2.0 * math.pi)
-        th_q_ring = np.broadcast_to(th_q, (n_phi, nq))
-        r_q, rt_q, rp_q = grid.shape.radial_derivatives(th_q_ring, ph_q)
-        rp_over = rp_q / np.maximum(np.sin(th_q_ring), 1e-300)
+        # theta is ring-invariant: each harmonic's Legendre factor is
+        # evaluated once on the (nq,) cloud and turned in phi by broadcasting
+        r_q, rt_q, rp_q = grid.shape.radial_derivatives(th_q, ph_q)   # (n_phi, nq)
+        rp_over = rp_q / np.maximum(np.sin(th_q), 1e-300)
         jac_q = r_q * np.sqrt(r_q ** 2 + rt_q ** 2 + rp_over ** 2)
         ypts = grid.epsilon * (grid.shape.center[None, None, :] + r_q[..., None] * ydirs)
 
@@ -406,7 +406,7 @@ def evaluate_potential(grid: SurfaceGrid, density: np.ndarray, s: complex,
     points = np.atleast_2d(np.asarray(points, dtype=float))
     diff = points[:, None, :] - grid.nodes[None, :, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    min_dist = float(np.min(dist))
+    min_dist = float(np.min(dist, initial=np.inf))     # no points: no guard
     threshold = NEAR_FIELD_FACTOR * grid.mesh_width()
     if min_dist < threshold:
         raise NearFieldEvaluationError(

@@ -156,9 +156,9 @@ def cmd_capacitance(config: ExperimentConfig, out_dir: Path, manifest: RunManife
     results = []
     start = time.time()
     for (nt, np_) in CAPACITANCE_STUDY:
-        t0 = time.time()
+        t0, cpu0 = time.time(), time.process_time()
         cap = bem.capacitance(config.shape, nt, np_)
-        dt = time.time() - t0
+        dt, cpu = time.time() - t0, time.process_time() - cpu0
         results.append(cap)
         rows.append([nt, np_, cap.c1, float(np.min(cap.sigma1)), float(np.max(cap.sigma1)), dt])
         manifest.add_timing(f"capacitance_{nt}x{np_}", dt)
@@ -173,12 +173,14 @@ def cmd_capacitance(config: ExperimentConfig, out_dir: Path, manifest: RunManife
     manifest.add_file(out_dir / "capacitance.csv")
 
     final_err = errors[-1]
-    runtime = rows[-1][5]
+    # gated on the process CPU time of the finest solve (BLAS threads add to
+    # it), not wall time, so the verdict does not follow machine load
+    runtime = cpu
     manifest.add_check(CheckResult(
         "capacitance_value", bool(final_err <= TOL_CAPACITANCE),
         f"c1={results[-1].c1:.8f} rel_err={final_err:.3e} tol={TOL_CAPACITANCE}"))
     manifest.add_check(CheckResult(
-        "capacitance_runtime", bool(runtime < 5.0), f"{runtime:.2f}s at 24x48 (< 5 s)"))
+        "capacitance_runtime", bool(runtime < 5.0), f"{runtime:.2f}s CPU at 24x48 (< 5 s)"))
     # the singular scheme is spectrally exact for the shipped smooth shapes:
     # errors sit at a ~1e-9 roundoff floor, so decrease is only required
     # above it

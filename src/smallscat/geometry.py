@@ -14,6 +14,13 @@ with surface measure
 
 The grid at scale eps is, by construction, the unit-scale grid with nodes
 multiplied by eps and weights by eps^2 (exact in floating point).
+
+Each real harmonic is evaluated through Y_l^|m|(theta, phi) =
+Y_l^|m|(theta, 0) exp(i |m| phi): the Legendre factor on theta's own array,
+the azimuthal factor (cos |m| phi, sin |m| phi or 1) on phi's, and the two
+broadcast.  A theta column and a phi row thus cost one Legendre evaluation
+per theta, and a cloud of points that differ only by azimuthal turns costs
+one per distinct theta.
 """
 
 from __future__ import annotations
@@ -63,8 +70,7 @@ class StarShape:
         # Dense sample check of positivity and the unit-ball bound.
         th = np.linspace(1e-3, math.pi - 1e-3, 61)
         ph = np.linspace(0.0, 2.0 * math.pi, 121, endpoint=False)
-        TH, PH = np.meshgrid(th, ph, indexing="ij")
-        r = self.radial(TH, PH)
+        r = self.radial(th[:, None], ph[None, :])
         if np.min(r) <= 0.0:
             raise ShapeInvalidError(f"radial function not strictly positive (min {np.min(r):.3e})")
         reach = float(np.linalg.norm(self.center)) + float(np.max(r))
@@ -77,15 +83,16 @@ class StarShape:
 
     def radial(self, theta, phi):
         """r(s_hat) at polar angle theta, azimuth phi (arrays broadcast)."""
-        theta = np.asarray(theta, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        r = np.full(np.broadcast(theta, phi).shape, self.constant, dtype=float)
-        for (l, m, c) in self.harmonics:
-            r += c * _real_sph_harm(l, m, theta, phi)
-        return r
+        return self.radial_derivatives(theta, phi)[0]
 
     def radial_derivatives(self, theta, phi):
-        """Return (r, dr/dtheta, dr/dphi) at the given angles."""
+        """Return (r, dr/dtheta, dr/dphi) at the given angles.
+
+        theta and phi broadcast against each other, and so do the results.
+        Each harmonic's Legendre factor is evaluated on theta's shape only
+        and its azimuthal factor on phi's, so a theta of shape (n,) with a
+        phi of shape (k, n) costs n Legendre evaluations, not k * n.
+        """
         theta = np.asarray(theta, dtype=float)
         phi = np.asarray(phi, dtype=float)
         shape = np.broadcast(theta, phi).shape
@@ -93,7 +100,7 @@ class StarShape:
         rt = np.zeros(shape)
         rp = np.zeros(shape)
         for (l, m, c) in self.harmonics:
-            y, dy_t, dy_p = _real_sph_harm_with_derivs(l, m, theta, phi)
+            y, dy_t, dy_p = _real_sph_harm(l, m, theta, phi)
             r += c * y
             rt += c * dy_t
             rp += c * dy_p
@@ -118,23 +125,22 @@ class StarShape:
 
 
 def _real_sph_harm(l: int, m: int, theta, phi):
-    """Real spherical harmonic: m=0 -> Y_l0; m>0 -> sqrt(2)(-1)^m Re Y_l^m;
-    m<0 -> sqrt(2)(-1)^m Im Y_l^|m|."""
-    if m == 0:
-        return np.real(sph_harm_y(l, 0, theta, phi))
-    y = sph_harm_y(l, abs(m), theta, phi)
-    s = math.sqrt(2.0) * (-1.0) ** abs(m)
-    return s * (np.real(y) if m > 0 else np.imag(y))
+    """Real spherical harmonic and its theta- and phi-derivatives:
+    m=0 -> Y_l0; m>0 -> sqrt(2)(-1)^m Re Y_l^m; m<0 -> sqrt(2)(-1)^m Im Y_l^|m|.
 
-
-def _real_sph_harm_with_derivs(l: int, m: int, theta, phi):
+    Y_l^|m|(theta, 0) is real, so the harmonic is that Legendre factor
+    times cos |m| phi (m > 0), sin |m| phi (m < 0) or 1 (m = 0).  The
+    results broadcast theta against phi.
+    """
+    y, dy = sph_harm_y(l, abs(m), theta, 0.0, diff_n=1)
+    p, dp = np.real(y), np.real(dy[..., 0])
     if m == 0:
-        y, dy = sph_harm_y(l, 0, theta, phi, diff_n=1)
-        return np.real(y), np.real(dy[..., 0]), np.real(dy[..., 1])
-    y, dy = sph_harm_y(l, abs(m), theta, phi, diff_n=1)
-    s = math.sqrt(2.0) * (-1.0) ** abs(m)
-    part = np.real if m > 0 else np.imag
-    return s * part(y), s * part(dy[..., 0]), s * part(dy[..., 1])
+        return p, dp, np.zeros(np.shape(phi))
+    k = abs(m)
+    s = math.sqrt(2.0) * (-1.0) ** k
+    cos_k, sin_k = np.cos(k * phi), np.sin(k * phi)
+    a, da = (cos_k, -k * sin_k) if m > 0 else (sin_k, k * cos_k)
+    return s * p * a, s * dp * a, s * p * da
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +211,7 @@ def build_surface_grid(shape: StarShape, epsilon: float, n_theta: int, n_phi: in
 
     TH = np.repeat(theta, n_phi)
     PH = np.tile(phi, n_theta)
-    r, rt, rp = shape.radial_derivatives(TH, PH)
+    r, rt, rp = (v.ravel() for v in shape.radial_derivatives(theta[:, None], phi[None, :]))
     if np.min(r) <= 0.0:
         raise ShapeInvalidError("non-positive radial sample on the quadrature grid")
 

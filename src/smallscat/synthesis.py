@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import spherical_jn
 
+from . import bem
 from .bem import NearResonanceError, assemble_single_layer, evaluate_potential, \
     get_static_core, solve_density_with_diagnostics
 from .geometry import StarShape, build_surface_grid, gauss_legendre
@@ -52,9 +53,15 @@ class ScatteringScenario:
     n_phi: int = 40
 
     def content_hash(self) -> str:
+        """Digest of what a sweep's table depends on: the scenario, the
+        solver's discretization and gate constants, the sweep's node rule and
+        gate, and the table format."""
         desc = (tuple(self.shape.center), self.shape.constant, self.shape.harmonics,
                 self.epsilon, self.pulse.r0, self.pulse.R0, self.pulse.k_reg,
-                self.pulse.amplitude, self.pulse.center, self.n_theta, self.n_phi)
+                self.pulse.amplitude, self.pulse.center, self.n_theta, self.n_phi,
+                bem.WINDOW_FACTOR, bem.WINDOW_CUTOFF, bem.N_GAMMA, bem.N_ALPHA,
+                bem.STENCIL_MARGIN, bem.RESIDUAL_TOL, CONDITION_LIMIT, GL_PER_PANEL,
+                "frequency-table v1")
         return hashlib.sha256(repr(desc).encode()).hexdigest()[:12]
 
 

@@ -80,6 +80,23 @@ def test_sphere_harmonics_are_eigenvectors(sphere_grid, l, m):
         assert np.max(np.abs(SY - lam * Y)) < tol * np.max(np.abs(lam * Y))
 
 
+@pytest.mark.parametrize("l, m", [(1, 1), (2, 2), (3, 2)])
+def test_static_core_turn_equivariance(l, m):
+    # sin(m phi) = cos(m (phi - pi / (2m))): the (l, -m) shape is the (l, m)
+    # shape turned by pi / (2m), n_phi / (4m) grid steps, so its core is the
+    # (l, m) core with every node's azimuth index turned back by that many
+    n_theta, n_phi = 12, 24
+    cores = [get_static_core(build_surface_grid(
+        StarShape(constant=0.8, harmonics=((l, mm, 0.1),)), 0.1, n_theta, n_phi)) for mm in (m, -m)]
+    k = n_phi // (4 * m)
+    a, b = np.divmod(np.arange(n_theta * n_phi), n_phi)
+    turned = a * n_phi + (b - k) % n_phi
+    for name in ("matrix", "linear_correction", "distances"):
+        want = getattr(cores[0], name)[np.ix_(turned, turned)]
+        got = getattr(cores[1], name)
+        assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
 # -- solves ------------------------------------------------------------------
 def test_equilibrium_density_constant_on_sphere(sphere):
     for res, tol in (((8, 16), 1e-7), ((16, 32), 1e-7)):
@@ -196,6 +213,14 @@ def test_potential_conjugate_pair(sphere_grid):
     v1 = evaluate_potential(sphere_grid, dens, 3j, pts)[0]
     v2 = evaluate_potential(sphere_grid, np.conj(dens), -3j, pts)[0]
     assert np.conj(v1) == pytest.approx(v2, abs=1e-15)
+
+
+@pytest.mark.parametrize("s", [0.0, 1j])
+def test_potential_on_empty_point_set(sphere_grid, s):
+    dens = np.ones(sphere_grid.n_nodes)
+    empty = evaluate_potential(sphere_grid, dens, s, np.zeros((0, 3)))
+    one = evaluate_potential(sphere_grid, dens, s, np.array([[2.0, 0.0, 0.0]]))
+    assert empty.shape == (0,) and empty.dtype == one.dtype
 
 
 def test_near_field_evaluation_guard(sphere_grid):

@@ -1,9 +1,13 @@
+import itertools
+import logging
 import math
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from smallscat import bem
 from smallscat.cli import RunManifest, cmd_capacitance, cmd_checks, main, run_command
 from smallscat.config import (
     ConfigError, default_config, parse_config_file, parse_config_text,
@@ -92,6 +96,20 @@ def test_cmd_capacitance_default(tmp_path):
     assert len(rows) == 7
 
 
+def test_capacitance_runtime_gates_on_cpu_time(tmp_path, monkeypatch):
+    # a wall clock that jumps 10 s per reading, as on a host shared with
+    # other jobs; the verdict reads CPU time, the CSV still records wall time
+    clock = itertools.count(0.0, 10.0)
+    monkeypatch.setattr(time, "time", lambda: next(clock))
+    cfg = default_config()
+    manifest = RunManifest(config_hash=cfg.config_hash(), command="capacitance")
+    cmd_capacitance(cfg, tmp_path, manifest)
+    check = next(c for c in manifest.checks if c.name == "capacitance_runtime")
+    assert check.passed and "CPU" in check.detail
+    rows = (tmp_path / "capacitance.csv").read_text().strip().splitlines()[2:]
+    assert all(float(row.split(",")[5]) >= 10.0 for row in rows)
+
+
 def test_cmd_checks_default(tmp_path):
     cfg = default_config()
     manifest = RunManifest(config_hash=cfg.config_hash(), command="checks")
@@ -136,6 +154,21 @@ def test_synthesize_recomputes_table_of_other_grid(tmp_path, caplog):
     messages = [rec.message for rec in caplog.records]
     assert not any("reusing table" in m for m in messages)
     assert any("frequency grid mismatch" in m for m in messages)
+
+
+@pytest.mark.filterwarnings("ignore:frequency tail not resolved")
+def test_synthesize_recomputes_table_of_other_solver_constants(tmp_path, caplog, monkeypatch):
+    cfg = parse_config_text(TINY_CONFIG)
+    run_command("sweep", cfg, tmp_path)
+    monkeypatch.setattr(bem, "RESIDUAL_TOL", 1e-9)
+    with caplog.at_level(logging.INFO, logger="smallscat.cli"):
+        run_command("synthesize", cfg, tmp_path)
+    messages = [rec.message for rec in caplog.records]
+    assert not any("reusing table" in m for m in messages)
+    assert any("scenario hash mismatch" in m for m in messages)
+    with caplog.at_level(logging.INFO, logger="smallscat.cli"):
+        run_command("synthesize", cfg, tmp_path)       # the re-swept table is reused
+    assert any("reusing table" in rec.message for rec in caplog.records)
 
 
 def test_manifest_lists_files_and_checks(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import sph_harm_y
 
 from smallscat.geometry import (
     ShapeInvalidError, ShellRegion, StarShape, build_surface_grid, shell_quadrature,
@@ -97,6 +98,34 @@ def test_radial_derivatives_match_finite_differences(bumpy):
     h = 1e-6
     assert abs(rt - (bumpy.radial(th + h, ph) - bumpy.radial(th - h, ph)) / (2 * h)) < 1e-8
     assert abs(rp - (bumpy.radial(th, ph + h) - bumpy.radial(th, ph - h)) / (2 * h)) < 1e-8
+
+
+def test_harmonic_values_on_broadcast_angles():
+    # sine-type (m < 0), zonal and cosine-type harmonics, called as the static
+    # core calls it: one theta per cloud point, one azimuth row per node
+    harmonics = ((1, -1, 0.03), (2, -2, 0.02), (3, -1, 0.02), (2, 0, 0.04),
+                 (3, 2, 0.03), (4, 3, 0.02))
+    shape = StarShape(constant=0.7, harmonics=harmonics)
+    th = np.linspace(0.05, math.pi - 0.05, 37)
+    ph = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, (11, 37))
+    r, rt, rp = shape.radial_derivatives(th, ph)
+    assert r.shape == rt.shape == rp.shape == (11, 37)
+
+    # direct formula: scipy's complex harmonic at every (theta, phi) point
+    TH, PH = np.broadcast_arrays(th, ph)
+    ref = [np.full(TH.shape, 0.7), np.zeros(TH.shape), np.zeros(TH.shape)]
+    for (l, m, c) in harmonics:
+        y, dy = sph_harm_y(l, abs(m), TH, PH, diff_n=1)
+        scale = 1.0 if m == 0 else math.sqrt(2.0) * (-1.0) ** m
+        part = np.imag if m < 0 else np.real
+        for acc, v in zip(ref, (y, dy[..., 0], dy[..., 1])):
+            acc += c * scale * part(v)
+    for got, want in zip((r, rt, rp), ref):
+        assert np.max(np.abs(got - want)) < 1e-14
+
+    h = 1e-6
+    assert np.max(np.abs(rt - (shape.radial(th + h, ph) - shape.radial(th - h, ph)) / (2 * h))) < 1e-8
+    assert np.max(np.abs(rp - (shape.radial(th, ph + h) - shape.radial(th, ph - h)) / (2 * h))) < 1e-8
 
 
 # -- shell quadrature --------------------------------------------------------

@@ -1,11 +1,12 @@
 import dataclasses
 import gc
+import logging
 import weakref
 
 import numpy as np
 import pytest
 
-from smallscat import synthesis
+from smallscat import bem, synthesis
 from smallscat.asymptotic import PointScattererModel, point_scatterer_time
 from smallscat.bem import NearResonanceError, capacitance
 from smallscat.cli import _cached_table
@@ -208,6 +209,24 @@ def test_cached_table_recomputes_truncated_table(scenario, tmp_path):
     with pytest.raises(ValueError, match="omega-major block"):
         FrequencyTable.load_csv(path, points)
     assert _cached_table(path, points, scenario, len(nodes), edges) is None
+
+
+@pytest.mark.parametrize("module, name", [
+    ("bem", "WINDOW_FACTOR"), ("bem", "WINDOW_CUTOFF"), ("bem", "N_GAMMA"),
+    ("bem", "N_ALPHA"), ("bem", "STENCIL_MARGIN"), ("bem", "RESIDUAL_TOL"),
+    ("synthesis", "CONDITION_LIMIT"), ("synthesis", "GL_PER_PANEL")])
+def test_cached_table_keyed_on_solver_constants(scenario, tmp_path, caplog, monkeypatch,
+                                                module, name):
+    nodes, weights, edges = build_frequency_grid(10.0, 16)
+    points = np.array([[2.5, 0.0, 0.0]])
+    FrequencyTable(omegas=nodes, weights=weights, panel_edges=edges, points=points,
+                   values=np.exp(-1j * nodes)[:, None],
+                   scenario_hash=scenario.content_hash()).save_csv(tmp_path / "table.csv")
+    target = bem if module == "bem" else synthesis
+    monkeypatch.setattr(target, name, 2 * getattr(target, name))
+    with caplog.at_level(logging.INFO, logger="smallscat.cli"):
+        assert _cached_table(tmp_path / "table.csv", points, scenario, len(nodes), edges) is None
+    assert any("scenario hash mismatch" in rec.message for rec in caplog.records)
 
 
 def test_inversion_fits_the_nodes_used(oracle):
