@@ -6,7 +6,15 @@ The kernel exp(-s|x-y|) / (4 pi |x-y|) is split into
     static part     1 / (4 pi |x-y|)          (weakly singular)
     remainder       (exp(-s|x-y|) - 1) / (4 pi |x-y|)   (entire in |x-y|)
 
-The remainder is assembled with plain product weights.  The static part is
+The remainder is assembled with plain product weights, in real arithmetic
+with one formula for every s = a + ib:
+
+    exp(-sd) - 1 = (1 + E)(C - iS) + E,
+    E = expm1(-a d),  C = cos(bd) - 1 = -2 sin^2(bd/2),  S = sin(bd),
+
+written straight into the real and imaginary parts of the matrix (E is
+skipped on the imaginary axis, C and S for real s, which keep a real
+matrix).  C loses no digits however small |b| d is.  The static part is
 assembled once per grid ("static core") with a singularity correction: the
 kernel is blended into a long-range piece that is smooth in the squared
 distance (spectral under the plain product rule) and a localized singular
@@ -22,6 +30,10 @@ the remainder's leading odd term s^2 |x-y| / 2 at every frequency for free.
 
 Solves are dense LU with a residual check and a reciprocal-condition
 estimate; imaginary-axis conditioning is surfaced, never regularized.
+
+Off-surface evaluation takes point-node distances from the Gram form
+|x|^2 + |y|^2 - 2 x.y (one BLAS product, clamped at 0) and the kernel in
+the same real form e^{-ad}(cos bd - i sin bd).
 """
 
 from __future__ import annotations
@@ -32,7 +44,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.linalg import lapack
 
 from .geometry import StarShape, SurfaceGrid, build_surface_grid, gauss_legendre
 from .incident import ShellPulse, incident_trace
@@ -308,32 +319,69 @@ def assemble_single_layer(grid: SurfaceGrid, s: complex) -> SingleLayerMatrix:
     s = complex(s)
     if s == 0:
         return SingleLayerMatrix(matrix=core.matrix.copy(), s=s, grid=grid)
+    a, b = s.real, s.imag
     dist = core.distances
-    # the remainder, then the static part, accumulated in the returned
-    # matrix: the solving thread holds no other N x N complex array but
-    # the correction term below
-    mat = np.multiply(-s, dist)
-    np.expm1(mat, out=mat)
-    mat /= 4.0 * math.pi * dist
-    mat *= grid.weights[None, :]
-    np.fill_diagonal(mat, -s / (4.0 * math.pi) * grid.weights)
-    mat += core.matrix
+    # the remainder e^{-sd} - 1 = (1 + E)(C - iS) + E in real arithmetic
+    # (module docstring), written straight into the returned matrix; `tmp`
+    # is the one other N x N array the solving thread holds
+    mat = np.empty(dist.shape, dtype=float if b == 0.0 else complex)
+    re, im = mat.real, (mat.imag if b != 0.0 else None)
+    tmp = np.empty(dist.shape)
+    if b == 0.0:                                    # C = S = 0: the remainder is E
+        np.multiply(-a, dist, out=re)
+        np.expm1(re, out=re)
+    else:
+        np.multiply(0.5 * b, dist, out=re)
+        np.sin(re, out=re)
+        np.square(re, out=re)
+        re *= -2.0                                  # C
+        if a != 0.0:
+            np.multiply(-a, dist, out=tmp)
+            np.expm1(tmp, out=tmp)                  # E
+            np.multiply(re, tmp, out=im)            # C E, with im as scratch
+            re += im
+            re += tmp
+            tmp += 1.0                              # 1 + E
+        np.multiply(-b, dist, out=im)
+        np.sin(im, out=im)                          # -S
+        if a != 0.0:
+            im *= tmp
+    # kernel scaling w_j / (4 pi d); the diagonal carries the remainder's
+    # limit -s w_j / (4 pi)
+    np.multiply(4.0 * math.pi, dist, out=tmp)
+    np.divide(grid.weights[None, :], tmp, out=tmp)
+    re *= tmp
+    np.fill_diagonal(re, -a / (4.0 * math.pi) * grid.weights)
+    if im is not None:
+        im *= tmp
+        np.fill_diagonal(im, -b / (4.0 * math.pi) * grid.weights)
+    re += core.matrix
     # the remainder's odd expansion term s^2 d / (8 pi) is cone-singular at
     # the diagonal; re-route it through the precomputed local correction
-    mat += (s * s / (8.0 * math.pi)) * core.linear_correction
-    if s.imag == 0.0:
-        mat = mat.real
+    s2 = s * s / (8.0 * math.pi)
+    np.multiply(s2.real, core.linear_correction, out=tmp)
+    re += tmp
+    if s2.imag != 0.0:
+        np.multiply(s2.imag, core.linear_correction, out=tmp)
+        im += tmp
     return SingleLayerMatrix(matrix=mat, s=s, grid=grid)
 
 
 def _lu_solve_with_cond(A: np.ndarray, rhs: np.ndarray):
-    lu, piv = sla.lu_factor(A)
-    x = sla.lu_solve((lu, piv), rhs)
-    anorm = np.linalg.norm(A, 1)
-    if np.iscomplexobj(A):
-        rcond, info = lapack.zgecon(lu, anorm, norm="1")
-    else:
-        rcond, info = lapack.dgecon(lu, anorm, norm="1")
+    """LU solve of A x = rhs and the 1-norm condition estimate of A.
+
+    Raises np.linalg.LinAlgError when the factorization finds an exactly
+    singular pivot.  No finiteness scan: the caller's residual check
+    rejects whatever non-finite input produces.
+    """
+    getrf, getrs, gecon = sla.get_lapack_funcs(("getrf", "getrs", "gecon"), (A,))
+    lu, piv, info = getrf(A)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"getrf info={info}")
+    x, info = getrs(lu, piv, rhs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"getrs info={info}")
+    rcond, info = gecon(lu, np.linalg.norm(A, 1), norm="1")
     cond = float("inf") if (info != 0 or rcond == 0.0) else 1.0 / float(rcond)
     return x, cond
 
@@ -350,7 +398,7 @@ def solve_density_with_diagnostics(mat: SingleLayerMatrix, rhs: np.ndarray):
         else mat.matrix.astype(complex)
     try:
         x, cond = _lu_solve_with_cond(A, rhs)
-    except Exception as exc:
+    except np.linalg.LinAlgError as exc:
         raise NearResonanceError(f"factorization breakdown at s={mat.s}", s=mat.s) from exc
     residual = float(np.linalg.norm(A @ x - rhs) / rhs_norm)
     if not np.isfinite(residual) or residual > RESIDUAL_TOL:
@@ -404,8 +452,14 @@ def evaluate_potential(grid: SurfaceGrid, density: np.ndarray, s: complex,
                        points: np.ndarray) -> np.ndarray:
     """Single-layer potential of a node density at off-surface points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    diff = points[:, None, :] - grid.nodes[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    # Gram-form distances |x|^2 + |y|^2 - 2 x.y: one BLAS product instead
+    # of a (P, N, 3) difference array
+    nodes = grid.nodes
+    dist = points @ (-2.0 * nodes).T
+    dist += np.einsum("ij,ij->i", points, points)[:, None]
+    dist += np.einsum("ij,ij->i", nodes, nodes)[None, :]
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
     min_dist = float(np.min(dist, initial=np.inf))     # no points: no guard
     threshold = NEAR_FIELD_FACTOR * grid.mesh_width()
     if min_dist < threshold:
@@ -413,8 +467,20 @@ def evaluate_potential(grid: SurfaceGrid, density: np.ndarray, s: complex,
             f"evaluation point at distance {min_dist:.3e} from the surface "
             f"(need >= {threshold:.3e}); use a refined grid or move the point")
     s = complex(s)
-    kern = np.exp(-s * dist) / (4.0 * math.pi * dist) if s != 0 \
-        else 1.0 / (4.0 * math.pi * dist)
+    a, b = s.real, s.imag
+    # kernel e^{-ad} (cos bd - i sin bd) / (4 pi d) in real arithmetic
+    amp = np.divide(1.0 / (4.0 * math.pi), dist)
+    if a != 0.0:
+        amp *= np.exp(-a * dist)
+    if b == 0.0:
+        kern = amp
+    else:
+        kern = np.empty(dist.shape, dtype=complex)
+        np.multiply(-b, dist, out=dist)             # the phase -bd
+        np.cos(dist, out=kern.real)
+        kern.real *= amp
+        np.sin(dist, out=kern.imag)
+        kern.imag *= amp
     return kern @ (grid.weights * density)
 
 

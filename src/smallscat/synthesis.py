@@ -107,10 +107,9 @@ class FrequencyTable:
             fh.write(f"# points={_points_digest(self.points)}\n")
             fh.write(f"# panel_edges={','.join(f'{e:.17g}' for e in self.panel_edges)}\n")
             fh.write("omega,point_index,re,im\n")
-            for j, om in enumerate(self.omegas):
-                for k in range(self.points.shape[0]):
-                    v = self.values[j, k]
-                    fh.write(f"{om:.17g},{k},{v.real:.17g},{v.imag:.17g}\n")
+            n, p = self.values.shape
+            re_im = np.stack([self.values.real, self.values.imag], axis=-1).reshape(n, 2 * p)
+            _write_blocks(fh, self.omegas, re_im, 2)
 
     @staticmethod
     def load_csv(path, points: np.ndarray) -> "FrequencyTable":
@@ -163,9 +162,22 @@ class TimeSeries:
         with open(path, "w") as fh:
             fh.write(f"# scenario={self.scenario_hash}\n")
             fh.write("t,point_index,value\n")
-            for j, t in enumerate(self.times):
-                for k in range(self.values.shape[1]):
-                    fh.write(f"{t:.17g},{k},{self.values[j, k]:.17g}\n")
+            _write_blocks(fh, self.times, self.values, 1)
+
+
+def _write_blocks(fh, keys, fields, per_point: int) -> None:
+    """CSV rows `key,k,f1,...` for every key and point k, numbers as %.17g.
+
+    fields[j] holds key j's `per_point` numbers for each point in turn.  Each
+    key is formatted once and its block written with one % template.
+    """
+    n_points = fields.shape[1] // per_point
+    tails = [f",{k}" + ",%.17g" * per_point + "\n" for k in range(n_points)]
+    if not tails:
+        return
+    for key, row in zip(keys, fields):
+        head = f"{key:.17g}"
+        fh.write((head + head.join(tails)) % tuple(row.tolist()))
 
 
 def _points_digest(points: np.ndarray) -> str:

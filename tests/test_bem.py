@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,11 +6,11 @@ import pytest
 from scipy.special import sph_harm_y, spherical_in, spherical_kn
 
 from smallscat.bem import (
-    NearFieldEvaluationError, NearResonanceError, assemble_single_layer,
+    NEAR_FIELD_FACTOR, NearFieldEvaluationError, NearResonanceError, assemble_single_layer,
     boundary_projections, capacitance, evaluate_potential, exterior_dirichlet,
     get_static_core, scattered_frequency, solve_density, solve_density_with_diagnostics,
 )
-from smallscat.geometry import StarShape, build_surface_grid
+from smallscat.geometry import ShellRegion, StarShape, build_surface_grid, shell_quadrature
 from smallscat.incident import incident_trace
 from smallscat.metrics import fit_power_law
 from smallscat.sphere_oracle import SphereScenario, sphere_scattered_frequency
@@ -63,6 +64,40 @@ def test_kernel_symmetry_up_to_correction(bumpy):
     assert np.max(asym) < 0.25 * np.max(np.abs(K))
     assert np.max(asym[sep > 2.0]) < 1e-3
     assert np.max(asym[sep > 2.6]) < 1e-5
+
+
+REMAINDER_S = [1e-7j, 0.5j, 8j, -3j, 39j, 1.0, 0.5 + 1j, 2 + 3j]
+
+
+@pytest.mark.parametrize("shape_name", ["sphere", "bumpy_sphere"])
+def test_remainder_matches_complex_expm1(shape_name):
+    # with the static core's two matrices zeroed, the assembled matrix is the
+    # remainder (e^{-sd} - 1) w_j / (4 pi d) alone; compare it with the
+    # complex expm1 of the same distances
+    grid = build_surface_grid(getattr(StarShape, shape_name)(), 1.0, 12, 24)
+    core = get_static_core(grid)
+    zero = np.zeros_like(core.matrix)
+    bare = dataclasses.replace(grid)
+    object.__setattr__(bare, "_static_core", dataclasses.replace(
+        core, matrix=zero, linear_correction=zero))
+    d = core.distances
+    for s in REMAINDER_S:
+        ref = np.expm1(-complex(s) * d) / (FOUR_PI * d) * grid.weights[None, :]
+        np.fill_diagonal(ref, -complex(s) / FOUR_PI * grid.weights)
+        got = assemble_single_layer(bare, s).matrix
+        assert np.isrealobj(got) == (complex(s).imag == 0.0)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # the whole matrix: the remainder plus the static core's two terms
+        full = ref + core.matrix + complex(s) ** 2 / (8.0 * math.pi) * core.linear_correction
+        got = assemble_single_layer(grid, s).matrix
+        assert np.max(np.abs(got - full)) <= 1e-13 * np.max(np.abs(full))
+    # cos(bd) - 1 at bd ~ 1e-7 keeps every digit of both parts: no cancellation
+    small = assemble_single_layer(bare, 1e-7j).matrix
+    ref = np.expm1(-1e-7j * d) / (FOUR_PI * d) * grid.weights[None, :]
+    np.fill_diagonal(ref, -1e-7j / FOUR_PI * grid.weights)
+    off = ~np.eye(grid.n_nodes, dtype=bool)
+    assert np.max(np.abs(small.real[off] / ref.real[off] - 1.0)) < 1e-13
+    assert np.max(np.abs(small.imag / ref.imag - 1.0)) < 1e-13
 
 
 @pytest.mark.parametrize("l, m", [(1, 1), (2, -1), (3, 2), (4, 3)])
@@ -227,6 +262,43 @@ def test_near_field_evaluation_guard(sphere_grid):
     with pytest.raises(NearFieldEvaluationError):
         evaluate_potential(sphere_grid, np.ones(sphere_grid.n_nodes), 0.0,
                            np.array([[1.01, 0.0, 0.0]]))
+
+
+def test_near_field_guard_threshold(sphere_grid):
+    # radially outward from a node of the unit sphere, that node stays the
+    # nearest one: the guard trips just inside the threshold distance only
+    threshold = NEAR_FIELD_FACTOR * sphere_grid.mesh_width()
+    node = sphere_grid.nodes[5 * sphere_grid.n_phi + 3]
+    dens = np.ones(sphere_grid.n_nodes)
+    with pytest.raises(NearFieldEvaluationError):
+        evaluate_potential(sphere_grid, dens, 1j, node[None, :] * (1.0 + threshold * (1 - 1e-9)))
+    evaluate_potential(sphere_grid, dens, 1j, node[None, :] * (1.0 + threshold * (1 + 1e-9)))
+
+
+def _direct_potential(grid, density, s, points):
+    diff = points[:, None, :] - grid.nodes[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    return (np.exp(-complex(s) * dist) / (FOUR_PI * dist)) @ (grid.weights * density)
+
+
+@pytest.mark.parametrize("shape_name", ["sphere", "bumpy_sphere"])
+def test_potential_matches_direct_differences(shape_name):
+    shape = getattr(StarShape, shape_name)()
+    rng = np.random.default_rng(7)
+    shell_pts, _ = shell_quadrature(ShellRegion(2.0, 3.0), 8, 4)        # the CLI's shell
+    dilation_pts = np.array([[2.0, 0.3, -0.4], [0.5, 2.2, 0.9], [-1.5, 1.0, 1.2]])
+    for eps in (0.02, 0.16):
+        grid = build_surface_grid(shape, eps, 12, 24)
+        unit = build_surface_grid(shape, 1.0, 12, 24)
+        dens = rng.normal(size=grid.n_nodes) + 1j * rng.normal(size=grid.n_nodes)
+        for omega in (0.0, 1.0, 7.0, 40.0):
+            # the dilation check's second path: unit grid, scaled points, eps s
+            for g, s, pts in ((grid, 1j * omega, shell_pts),
+                              (grid, 0.5 + 1j * omega, shell_pts),
+                              (unit, 1j * eps * omega, dilation_pts / eps)):
+                got = evaluate_potential(g, dens, s, pts)
+                ref = _direct_potential(g, dens, s, pts)
+                assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_scattered_frequency_matches_oracle(pulse):

@@ -179,6 +179,29 @@ def test_table_csv_roundtrip(table, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_block_writer_matches_row_writer(tmp_path):
+    # reference: the one-row-at-a-time writer the block writer replaced
+    rng = np.random.default_rng(5)
+    omegas = np.array([0.0, 1e-300, 0.37, 1e300])
+    values = rng.normal(size=(4, 3)) + 1j * rng.normal(size=(4, 3))
+    values[0] = [0.0, -0.0, -1e300 + 1e-300j]
+    values[1] = [complex(-0.0, -0.0), -2.5 - 1e-300j, 1e300 - 0.0j]
+    points = rng.normal(size=(3, 3))
+    tab = FrequencyTable(omegas=omegas, weights=np.ones(4), panel_edges=np.array([0.0, 1.0]),
+                         points=points, values=values, scenario_hash="h")
+    tab.save_csv(tmp_path / "table.csv")
+    rows = [f"{om:.17g},{k},{v.real:.17g},{v.imag:.17g}\n"
+            for om, row in zip(omegas, values) for k, v in enumerate(row)]
+    text = (tmp_path / "table.csv").read_text()
+    assert text.split("omega,point_index,re,im\n", 1)[1] == "".join(rows)
+
+    series = TimeSeries(times=-omegas, values=values.real, scenario_hash="h")
+    series.save_csv(tmp_path / "series.csv")
+    rows = [f"{t:.17g},{k},{v:.17g}\n"
+            for t, row in zip(-omegas, values.real) for k, v in enumerate(row)]
+    assert (tmp_path / "series.csv").read_text() == "# scenario=h\nt,point_index,value\n" + "".join(rows)
+
+
 def test_truncated_table_is_rejected(table, tmp_path):
     path = tmp_path / "table.csv"
     table.save_csv(path)
