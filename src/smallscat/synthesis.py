@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ from scipy.special import spherical_jn
 
 from . import bem
 from .bem import NearResonanceError, assemble_single_layer, evaluate_potential, \
-    get_static_core, solve_density_with_diagnostics
+    get_static_core, single_precision_workspace, solve_density_with_diagnostics
 from .geometry import StarShape, build_surface_grid, gauss_legendre
 from .incident import ShellPulse, incident_trace
 
@@ -60,7 +61,8 @@ class ScatteringScenario:
                 self.epsilon, self.pulse.r0, self.pulse.R0, self.pulse.k_reg,
                 self.pulse.amplitude, self.pulse.center, self.n_theta, self.n_phi,
                 bem.WINDOW_FACTOR, bem.WINDOW_CUTOFF, bem.N_GAMMA, bem.N_ALPHA,
-                bem.STENCIL_MARGIN, bem.RESIDUAL_TOL, CONDITION_LIMIT, GL_PER_PANEL,
+                bem.STENCIL_MARGIN, bem.RESIDUAL_TOL, bem.MIXED_CONDITION_LIMIT,
+                bem.REFINE_MAX_ITER, CONDITION_LIMIT, GL_PER_PANEL,
                 "frequency-table v1")
         return hashlib.sha256(repr(desc).encode()).hexdigest()[:12]
 
@@ -225,7 +227,13 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
     # symmetry the midpoint across two panels is their common edge
     cells = np.concatenate([edges[:1], 0.5 * (nodes[1:] + nodes[:-1]), edges[-1:]])
 
+    # one single-precision workspace per pool thread, reused by its nodes
+    # (bem.single_precision_workspace)
+    scratch = threading.local()
+
     def solve(j: int):
+        if not hasattr(scratch, "work"):
+            scratch.work = single_precision_workspace(grid.n_nodes)
         omega, lo, hi = float(nodes[j]), float(cells[j]), float(cells[j + 1])
         near, far = sorted((lo, hi), key=lambda edge: abs(edge - omega))
         tries = (omega, omega + 0.75 * (far - omega), omega + 0.75 * (near - omega))
@@ -234,7 +242,7 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
             try:
                 g = incident_trace(scenario.pulse, s, grid)
                 mat = assemble_single_layer(grid, s)
-                lam, diag = solve_density_with_diagnostics(mat, -g)
+                lam, diag = solve_density_with_diagnostics(mat, -g, work=scratch.work)
                 if diag.condition_estimate > CONDITION_LIMIT:
                     raise NearResonanceError(
                         f"condition estimate {diag.condition_estimate:.3e} above limit",

@@ -3,16 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.special import sph_harm_y, spherical_in, spherical_kn
 
+from smallscat import bem
 from smallscat.bem import (
-    NEAR_FIELD_FACTOR, NearFieldEvaluationError, NearResonanceError, assemble_single_layer,
+    NEAR_FIELD_FACTOR, RESIDUAL_TOL, NearFieldEvaluationError, NearResonanceError,
+    SingleLayerMatrix, assemble_single_layer,
     boundary_projections, capacitance, evaluate_potential, exterior_dirichlet,
     get_static_core, scattered_frequency, solve_density, solve_density_with_diagnostics,
 )
 from smallscat.geometry import ShellRegion, StarShape, build_surface_grid, shell_quadrature
 from smallscat.incident import incident_trace
-from smallscat.metrics import fit_power_law
+from smallscat.metrics import check_dilation_identity, fit_power_law
 from smallscat.sphere_oracle import SphereScenario, sphere_scattered_frequency
 
 FOUR_PI = 4.0 * math.pi
@@ -201,6 +204,121 @@ def test_condition_estimate_moderate_on_sweep_nodes(pulse):
         mat = assemble_single_layer(grid, 1j * om)
         _, diag = solve_density_with_diagnostics(mat, -incident_trace(pulse, 1j * om, grid))
         assert diag.condition_estimate < 1e6
+
+
+# -- mixed-precision solve -------------------------------------------------------
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """(routine, dtype, F-contiguous) of every getrf/getrs the solver calls."""
+    calls = []
+    real_get = lapack.get_lapack_funcs
+
+    def spy(name, fn):
+        def wrapped(a, *args, **kwargs):
+            calls.append((name, a.dtype, a.flags.f_contiguous))
+            return fn(a, *args, **kwargs)
+        return wrapped
+
+    def spying_get(names, arrays=(), dtype=None):
+        funcs = real_get(names, arrays, dtype)
+        return tuple(spy(n, f) if n in ("getrf", "getrs") else f for n, f in zip(names, funcs))
+
+    monkeypatch.setattr(bem.sla, "get_lapack_funcs", spying_get)
+    return calls
+
+
+def _double_lu_reference(A, rhs):
+    """The plain double-precision LU solve and 1-norm condition estimate."""
+    getrf, getrs, gecon = lapack.get_lapack_funcs(("getrf", "getrs", "gecon"), (A, rhs))
+    lu, piv, _ = getrf(A)
+    x, _ = getrs(lu, piv, rhs)
+    rcond, _ = gecon(lu, np.linalg.norm(A, 1), norm="1")
+    return x, 1.0 / rcond
+
+
+@pytest.mark.parametrize("shape_name", ["sphere", "bumpy_sphere"])
+@pytest.mark.parametrize("eps", [0.02, 0.08, 0.16])
+def test_mixed_solve_matches_double_lu(pulse, lapack_calls, shape_name, eps):
+    grid = build_surface_grid(getattr(StarShape, shape_name)(), eps, 16, 32)
+    for s in (1j, 7j, 23j, 31j, 0.5 + 3j, 0.7 - 11j, 2.0):
+        mat = assemble_single_layer(grid, s)
+        rhs = -incident_trace(pulse, s, grid)
+        lapack_calls.clear()
+        x, diag = solve_density_with_diagnostics(mat, rhs)
+        ref_x, ref_cond = _double_lu_reference(mat.matrix, rhs)
+        # factored in single precision only, on the F-ordered view
+        assert {(name, dt.itemsize) for name, dt, _ in lapack_calls} \
+            == {("getrf", mat.matrix.itemsize // 2), ("getrs", mat.matrix.itemsize // 2)}
+        assert all(f_contiguous for name, _, f_contiguous in lapack_calls if name == "getrf")
+        assert np.linalg.norm(x - ref_x) <= 1e-11 * np.linalg.norm(ref_x)
+        assert abs(diag.condition_estimate / ref_cond - 1.0) <= 1e-3
+        assert diag.residual <= 1e-14
+        if np.iscomplexobj(mat.matrix):     # a sweep's workspace gives the same solve
+            work = bem.single_precision_workspace(grid.n_nodes)
+            x_work, diag_work = solve_density_with_diagnostics(mat, rhs, work=work)
+            assert np.array_equal(x_work, x) and diag_work == diag
+
+
+def test_double_lu_decides_near_resonance(pulse, lapack_calls):
+    # next to pi/eps the single-precision estimate exceeds the mixed limit:
+    # the node is factored again in double precision, which reports the
+    # estimate of the plain double LU
+    eps = 0.16
+    grid = build_surface_grid(StarShape.sphere(), eps, 16, 32)
+    s = 1j * (math.pi / eps + 0.01)
+    mat = assemble_single_layer(grid, s)
+    rhs = -incident_trace(pulse, s, grid)
+    x, diag = solve_density_with_diagnostics(mat, rhs)
+    ref_x, ref_cond = _double_lu_reference(mat.matrix, rhs)
+    assert diag.condition_estimate > bem.MIXED_CONDITION_LIMIT
+    assert [(name, dt) for name, dt, _ in lapack_calls] == [
+        ("getrf", np.complex64), ("getrf", np.complex128), ("getrs", np.complex128)]
+    assert all(f_contiguous for name, _, f_contiguous in lapack_calls if name == "getrf")
+    assert abs(diag.condition_estimate / ref_cond - 1.0) <= 1e-8
+    assert np.linalg.norm(x - ref_x) <= 1e-9 * np.linalg.norm(ref_x)
+    assert diag.residual <= RESIDUAL_TOL
+
+
+@pytest.mark.parametrize("mixed_limit", [bem.MIXED_CONDITION_LIMIT, np.inf])
+def test_ill_conditioned_matrix_falls_back_to_double_lu(sphere_grid, lapack_calls,
+                                                        monkeypatch, mixed_limit):
+    # condition 1e9: refinement on single-precision factors cannot converge.
+    # With the mixed limit lifted the refinement runs and gives up; either
+    # way the double LU solves the system within the residual gate (the
+    # data come from a unit-size solution, so the gate can be met).
+    monkeypatch.setattr(bem, "MIXED_CONDITION_LIMIT", mixed_limit)
+    rng = np.random.default_rng(11)
+    n = sphere_grid.n_nodes
+    U, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    V, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    A = (U * np.logspace(0.0, -9.0, n)) @ V.conj().T
+    rhs = A @ (rng.normal(size=n) + 1j * rng.normal(size=n))
+    x, diag = solve_density_with_diagnostics(SingleLayerMatrix(matrix=A, s=1j, grid=sphere_grid), rhs)
+    single_solves = sum(1 for name, dt, _ in lapack_calls if (name, dt) == ("getrs", np.complex64))
+    assert (single_solves > 1) == (mixed_limit == np.inf)
+    assert single_solves <= 1 + bem.REFINE_MAX_ITER
+    assert lapack_calls[-2:] == [("getrf", np.complex128, True), ("getrs", np.complex128, True)]
+    assert diag.condition_estimate > 1e8
+    assert diag.residual <= RESIDUAL_TOL
+    assert np.linalg.norm(A @ x - rhs) <= RESIDUAL_TOL * np.linalg.norm(rhs)
+
+
+def test_real_matrix_with_complex_data_is_solved_in_real_arithmetic(sphere, lapack_calls):
+    grid = build_surface_grid(sphere, 0.1, 16, 32)
+    mat = assemble_single_layer(grid, 1.0)
+    x1, x2, x3 = grid.nodes.T / 0.1
+    rhs = np.exp(-0.3 * x1) * (1.0 + 0.5j * x2) + 0.2j * x3
+    x, _ = solve_density_with_diagnostics(mat, rhs)
+    assert lapack_calls and all(not np.issubdtype(dt, np.complexfloating) for _, dt, _ in lapack_calls)
+    as_complex = dataclasses.replace(mat, matrix=mat.matrix.astype(complex))
+    x_complex, _ = solve_density_with_diagnostics(as_complex, rhs)
+    assert np.linalg.norm(x - x_complex) <= 1e-13 * np.linalg.norm(x_complex)
+    # the dilation check's real-s solves: no complex factorization, same verdict
+    lapack_calls.clear()
+    for shape in (sphere, StarShape.bumpy_sphere()):
+        assert check_dilation_identity(shape, 0.1, 1.0) < 1e-10
+    factored = [dt for name, dt, _ in lapack_calls if name == "getrf"]
+    assert factored and all(dt == np.float32 for dt in factored)
 
 
 # -- capacitance -------------------------------------------------------------

@@ -237,6 +237,7 @@ def test_cached_table_recomputes_truncated_table(scenario, tmp_path):
 @pytest.mark.parametrize("module, name", [
     ("bem", "WINDOW_FACTOR"), ("bem", "WINDOW_CUTOFF"), ("bem", "N_GAMMA"),
     ("bem", "N_ALPHA"), ("bem", "STENCIL_MARGIN"), ("bem", "RESIDUAL_TOL"),
+    ("bem", "MIXED_CONDITION_LIMIT"), ("bem", "REFINE_MAX_ITER"),
     ("synthesis", "CONDITION_LIMIT"), ("synthesis", "GL_PER_PANEL")])
 def test_cached_table_keyed_on_solver_constants(scenario, tmp_path, caplog, monkeypatch,
                                                 module, name):
@@ -276,11 +277,11 @@ def test_nudged_node_stays_in_its_cell(pulse, point, monkeypatch, failures):
     real_solve = synthesis.solve_density_with_diagnostics
     calls = []
 
-    def flaky_solve(mat, rhs):
+    def flaky_solve(mat, rhs, **kwargs):
         calls.append(None)
         if 8 <= len(calls) < 8 + failures:
             raise NearResonanceError("injected failure")
-        return real_solve(mat, rhs)
+        return real_solve(mat, rhs, **kwargs)
 
     monkeypatch.setattr(synthesis, "solve_density_with_diagnostics", flaky_solve)
     scn = ScatteringScenario(StarShape.sphere(), 0.1, pulse, n_theta=8, n_phi=16)
@@ -341,9 +342,9 @@ def test_failed_node_cancels_pending_nodes(pulse, point, monkeypatch):
     real_solve = synthesis.solve_density_with_diagnostics
     calls = []
 
-    def counting_solve(mat, rhs):
+    def counting_solve(mat, rhs, **kwargs):
         calls.append(None)
-        return real_solve(mat, rhs)
+        return real_solve(mat, rhs, **kwargs)
 
     monkeypatch.setattr(synthesis, "solve_density_with_diagnostics", counting_solve)
     monkeypatch.setattr(synthesis, "CONDITION_LIMIT", 0.0)
