@@ -387,8 +387,9 @@ def single_precision_workspace(n: int) -> np.ndarray:
 
     A caller that solves many complex systems of one size passes the same
     workspace to each `solve_density_with_diagnostics` (each sweep thread
-    does), so no solve allocates its factors.  A fresh N x N array per node
-    raised the sweep's peak RSS from about 145 to 185 MB at N = 800.
+    does, through `exterior_field`), so no solve allocates its factors.  A
+    fresh N x N array per node raised the sweep's peak RSS from about 145 to
+    185 MB at N = 800.
     """
     return np.empty((n, n), dtype=np.complex64)
 
@@ -520,8 +521,6 @@ class CapacitanceResult:
 
     c1: float
     sigma1: np.ndarray
-    n_theta: int
-    n_phi: int
 
     def __post_init__(self):
         if self.c1 <= 0:
@@ -538,11 +537,11 @@ def capacitance(shape: StarShape, n_theta: int = 24, n_phi: int = 48) -> Capacit
     mat = assemble_single_layer(grid, 0.0)
     sigma = solve_density(mat, np.ones(grid.n_nodes))
     c1 = float(np.sum(grid.weights * sigma))
-    return CapacitanceResult(c1=c1, sigma1=sigma, n_theta=n_theta, n_phi=n_phi)
+    return CapacitanceResult(c1=c1, sigma1=sigma)
 
 
 # ---------------------------------------------------------------------------
-# Off-surface evaluation and solution pipelines
+# Off-surface evaluation and the exterior field
 # ---------------------------------------------------------------------------
 def evaluate_potential(grid: SurfaceGrid, density: np.ndarray, s: complex,
                        points: np.ndarray) -> np.ndarray:
@@ -580,43 +579,31 @@ def evaluate_potential(grid: SurfaceGrid, density: np.ndarray, s: complex,
     return kern @ (grid.weights * density)
 
 
+def exterior_field(grid: SurfaceGrid, s: complex, data: np.ndarray, points: np.ndarray,
+                   work: np.ndarray | None = None):
+    """Exterior Dirichlet field at frequency s: the single-layer density with
+    trace `data` on the grid nodes, radiated to the off-surface points.
+
+    Returns (values, SolveDiagnostics).  `work` is passed on to
+    `solve_density_with_diagnostics`.  Defined for any complex s off the
+    discrete resonance set (Re s > 0 always safe).
+    """
+    mat = assemble_single_layer(grid, s)
+    density, diag = solve_density_with_diagnostics(mat, data, work=work)
+    return evaluate_potential(grid, density, s, points), diag
+
+
 def scattered_frequency(shape: StarShape, epsilon: float, pulse: ShellPulse,
                         s: complex, points: np.ndarray, *,
                         n_theta: int = 20, n_phi: int = 40,
                         grid: SurfaceGrid | None = None) -> np.ndarray:
-    """Laplace-domain scattered field u_hat_sc(s, x) at the given points.
-
-    Pipeline: trace of the incident field, solve with flipped sign
-    (sound-soft condition), radiate with the single-layer potential.
+    """Laplace-domain scattered field u_hat_sc(s, x) at the given points:
+    the exterior field of the negated incident trace (sound-soft condition).
     """
     if grid is None:
         grid = build_surface_grid(shape, epsilon, n_theta, n_phi)
-    g = incident_trace(pulse, s, grid)
-    mat = assemble_single_layer(grid, s)
-    lam = solve_density(mat, -g)
-    return evaluate_potential(grid, lam, s, points)
-
-
-def exterior_dirichlet(shape: StarShape, epsilon: float, z: complex,
-                       boundary_data, *, n_theta: int = 20, n_phi: int = 40,
-                       grid: SurfaceGrid | None = None):
-    """Exterior Dirichlet solution operator at frequency z.
-
-    boundary_data holds the per-node values.  Returns an evaluator: points
-    -> complex field values.  Defined for any complex z off the discrete
-    resonance set (Re z > 0 always safe).
-    """
-    if grid is None:
-        grid = build_surface_grid(shape, epsilon, n_theta, n_phi)
-    g = np.asarray(boundary_data, dtype=complex)
-    if g.shape != (grid.n_nodes,):
-        raise ValueError("boundary data length does not match the grid")
-    lam = solve_density(assemble_single_layer(grid, z), g)
-
-    def evaluate(points):
-        return evaluate_potential(grid, lam, z, points)
-
-    return evaluate
+    values, _ = exterior_field(grid, s, -incident_trace(pulse, s, grid), points)
+    return values
 
 
 def boundary_projections(grid: SurfaceGrid, density: np.ndarray):

@@ -275,7 +275,7 @@ def _cached_table(path: Path, points: np.ndarray, scenario: ScatteringScenario,
     return cached
 
 
-def _sweep_tables(config: ExperimentConfig, out_dir: Path, manifest: RunManifest) -> dict:
+def cmd_sweep(config: ExperimentConfig, out_dir: Path, manifest: RunManifest) -> dict:
     """One frequency table per scale; reuses an on-disk table built for the
     same scenario and frequency grid."""
     pts, _ = _observation_rule(config)
@@ -299,14 +299,8 @@ def _sweep_tables(config: ExperimentConfig, out_dir: Path, manifest: RunManifest
     return tables
 
 
-def cmd_sweep(config: ExperimentConfig, out_dir: Path, manifest: RunManifest):
-    return _sweep_tables(config, out_dir, manifest)
-
-
-def cmd_synthesize(config: ExperimentConfig, out_dir: Path, manifest: RunManifest,
-                   tables: dict | None = None):
-    if tables is None:
-        tables = _sweep_tables(config, out_dir, manifest)
+def cmd_synthesize(config: ExperimentConfig, out_dir: Path, manifest: RunManifest):
+    tables = cmd_sweep(config, out_dir, manifest)
     times = np.union1d(np.linspace(0.0, config.t_max, config.n_t), [config.t0])
     series = {}
     for eps, table in tables.items():
@@ -369,8 +363,6 @@ def cmd_theorem2(config: ExperimentConfig, out_dir: Path, manifest: RunManifest,
                  prepared=None, c1: float | None = None):
     """Model-error scaling ||u_app - u_sc||(t0) ~ eps^2 and the same tail check."""
     pts, _ = _observation_rule(config)
-    if prepared is None:
-        prepared = cmd_synthesize(config, out_dir, manifest)
     if c1 is None:
         c1 = bem.capacitance(config.shape).c1
 
@@ -440,9 +432,9 @@ def cmd_all(config: ExperimentConfig, out_dir: Path, manifest: RunManifest):
     cmd_oracle_compare(config, out_dir, manifest)
     cmd_checks(config, out_dir, manifest)
     prepared = cmd_synthesize(config, out_dir, manifest)
-    c1 = caps[-1].c1 if config.shape.is_sphere else bem.capacitance(config.shape).c1
     cmd_theorem1(config, out_dir, manifest, prepared=prepared)
-    cmd_theorem2(config, out_dir, manifest, prepared=prepared, c1=c1)
+    # the study's finest resolution is bem.capacitance's default one
+    cmd_theorem2(config, out_dir, manifest, prepared=prepared, c1=caps[-1].c1)
 
 
 COMMANDS = {

@@ -176,6 +176,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     epsilons = tuple(_parse_floats(values["epsilons"], "epsilons"))
     if not epsilons:
         raise ConfigError("key 'epsilons' must list at least one scale")
+    if not all(0.0 < eps <= 1.0 for eps in epsilons):
+        raise ConfigError(f"key 'epsilons': every scale must lie in (0, 1], got {epsilons}")
     try:
         shell = ShellRegion(fnum("shell.r_ff"), fnum("shell.R_ff"))
     except ValueError as exc:

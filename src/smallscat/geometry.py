@@ -148,7 +148,7 @@ def _real_sph_harm(l: int, m: int, theta, phi):
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class SurfaceGrid:
-    """Quadrature nodes, weights and normals on the scaled surface Gamma^eps.
+    """Quadrature nodes and weights on the scaled surface Gamma^eps.
 
     Nodes are ordered theta-major: index i = a * n_phi + b with theta
     ascending (a) and phi ascending (b).
@@ -162,8 +162,6 @@ class SurfaceGrid:
     phi: np.ndarray          # (n_phi,) uniform azimuths
     nodes: np.ndarray        # (N, 3) points on Gamma^eps
     weights: np.ndarray      # (N,) positive, sum ~ area(Gamma^eps)
-    normals: np.ndarray      # (N, 3) outward unit normals
-    unit_directions: np.ndarray   # (N, 3) s_hat per node (scale-free)
     radial_values: np.ndarray     # (N,) r(s_hat) per node (unit scale)
     jacobian: np.ndarray          # (N,) dGamma/dS on the UNIT-scale surface
 
@@ -215,19 +213,14 @@ def build_surface_grid(shape: StarShape, epsilon: float, n_theta: int, n_phi: in
     if np.min(r) <= 0.0:
         raise ShapeInvalidError("non-positive radial sample on the quadrature grid")
 
-    st, ct = np.sin(TH), np.cos(TH)
-    sp_, cp = np.sin(PH), np.cos(PH)
-    s_hat = np.stack([st * cp, st * sp_, ct], axis=1)
-    theta_hat = np.stack([ct * cp, ct * sp_, -st], axis=1)
-    phi_hat = np.stack([-sp_, cp, np.zeros_like(sp_)], axis=1)
+    st = np.sin(TH)
+    s_hat = np.stack([st * np.cos(PH), st * np.sin(PH), np.cos(TH)], axis=1)
 
     rp_over_st = rp / st
     metric = np.sqrt(r * r + rt * rt + rp_over_st * rp_over_st)
     jac = r * metric                       # dGamma/dS at unit scale
 
     unit_nodes = shape.center[None, :] + r[:, None] * s_hat
-    normals = (r[:, None] * s_hat - rt[:, None] * theta_hat
-               - rp_over_st[:, None] * phi_hat) / metric[:, None]
 
     w_unit = np.repeat(w_theta, n_phi) * w_phi * jac
     nodes = epsilon * unit_nodes
@@ -235,8 +228,8 @@ def build_surface_grid(shape: StarShape, epsilon: float, n_theta: int, n_phi: in
 
     return SurfaceGrid(
         shape=shape, epsilon=float(epsilon), n_theta=n_theta, n_phi=n_phi,
-        theta=theta, phi=phi, nodes=nodes, weights=weights, normals=normals,
-        unit_directions=s_hat, radial_values=r, jacobian=jac,
+        theta=theta, phi=phi, nodes=nodes, weights=weights,
+        radial_values=r, jacobian=jac,
     )
 
 

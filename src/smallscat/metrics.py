@@ -16,9 +16,18 @@ import numpy as np
 
 from .asymptotic import apply_S_app, density_app
 from .bem import assemble_single_layer, boundary_projections, capacitance, \
-    evaluate_potential, exterior_dirichlet, solve_density
+    evaluate_potential, exterior_field, solve_density
 from .geometry import ShellRegion, StarShape, build_surface_grid, shell_quadrature
 from .incident import ShellPulse, incident_trace
+
+# Fixed inputs of the proposition checks: the projection check's pulse
+# centre, the dilation check's grid resolution and (scale-eps) observation
+# points, and the radial and angular orders of the kernel-difference
+# check's shell rule
+PROJECTION_DATA_CENTER = (0.5, 0.0, 0.0)
+DILATION_RESOLUTION = (16, 32)
+DILATION_POINTS = np.array([[2.0, 0.3, -0.4], [0.5, 2.2, 0.9], [-1.5, 1.0, 1.2]])
+KERNEL_SHELL_ORDERS = (6, 4)
 
 
 @dataclass(frozen=True)
@@ -68,8 +77,7 @@ def shell_l2_norm_of_values(values: np.ndarray, weights: np.ndarray):
 # Proposition checks
 # ---------------------------------------------------------------------------
 def check_projection_scaling(shape: StarShape, pulse: ShellPulse, s: complex,
-                             eps_list, n_theta: int = 20, n_phi: int = 40,
-                             data_center=(0.5, 0.0, 0.0)):
+                             eps_list, n_theta: int = 20, n_phi: int = 40):
     """Mean / fluctuation split of the incident trace across scales.
 
     Returns (mean fit, fluctuation fit): the weighted-mean part of the
@@ -77,13 +85,13 @@ def check_projection_scaling(shape: StarShape, pulse: ShellPulse, s: complex,
     norm scales as eps^2 (L2 surrogate of the H^(1/2) bound, which lowers
     the paper exponent 3/2 to 2).
 
-    The pulse is recentered at data_center: the generic-position exponents
-    require a nonzero field gradient at the contraction point, and a
-    radial field centered exactly there has none (the fluctuation would
-    gain an extra power of eps).
+    The pulse is recentered at PROJECTION_DATA_CENTER: the
+    generic-position exponents require a nonzero field gradient at the
+    contraction point, and a radial field centered exactly there has none
+    (the fluctuation would gain an extra power of eps).
     """
     import dataclasses
-    probe = dataclasses.replace(pulse, center=tuple(data_center))
+    probe = dataclasses.replace(pulse, center=PROJECTION_DATA_CENTER)
     mean_pts, fluct_pts = [], []
     for eps in eps_list:
         grid = build_surface_grid(shape, eps, n_theta, n_phi)
@@ -112,39 +120,35 @@ def check_density_expansion(shape: StarShape, pulse: ShellPulse, s: complex,
     return fit_power_law(pts)
 
 
-def check_dilation_identity(shape: StarShape, epsilon: float, s: complex,
-                            boundary_data=None, points=None,
-                            n_theta: int = 16, n_phi: int = 32) -> float:
+def check_dilation_identity(shape: StarShape, epsilon: float, s: complex) -> float:
     """Max relative mismatch between the two dilation solution paths:
-    solve at (eps, s) vs solve at (1, eps*s) with mapped data and points."""
-    if boundary_data is None:
-        def boundary_data(pts):
-            return np.exp(-0.3 * pts[:, 0]) * (1.0 + 0.5 * pts[:, 1]) + 0.2 * pts[:, 2]
-    if points is None:
-        points = np.array([[2.0, 0.3, -0.4], [0.5, 2.2, 0.9], [-1.5, 1.0, 1.2]])
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    solve at (eps, s) vs solve at (1, eps*s) with mapped data and points.
 
-    grid_eps = build_surface_grid(shape, epsilon, n_theta, n_phi)
-    grid_one = build_surface_grid(shape, 1.0, n_theta, n_phi)
-    field_eps = exterior_dirichlet(shape, epsilon, s,
-                                   boundary_data(grid_eps.nodes), grid=grid_eps)
-    field_one = exterior_dirichlet(shape, 1.0, epsilon * s,
-                                   boundary_data(epsilon * grid_one.nodes), grid=grid_one)
-    va = field_eps(points)
-    vb = field_one(points / epsilon)
+    The boundary data are exp(-0.3 x) (1 + 0.5 y) + 0.2 z, passed as
+    complex values, so at real s the real matrix is solved with two
+    right-hand sides.
+    """
+    def data(pts):
+        return (np.exp(-0.3 * pts[:, 0]) * (1.0 + 0.5 * pts[:, 1])
+                + 0.2 * pts[:, 2]).astype(complex)
+
+    grid_eps = build_surface_grid(shape, epsilon, *DILATION_RESOLUTION)
+    grid_one = build_surface_grid(shape, 1.0, *DILATION_RESOLUTION)
+    va, _ = exterior_field(grid_eps, s, data(grid_eps.nodes), DILATION_POINTS)
+    vb, _ = exterior_field(grid_one, epsilon * s, data(epsilon * grid_one.nodes),
+                           DILATION_POINTS / epsilon)
     return float(np.max(np.abs(va - vb)) / np.max(np.abs(va)))
 
 
 def check_kernel_difference(shape: StarShape, eps_list, s: complex,
                             region: ShellRegion | None = None,
-                            n_theta: int = 20, n_phi: int = 40,
-                            n_r: int = 6, n_ang: int = 4) -> ScalingFit:
+                            n_theta: int = 20, n_phi: int = 40) -> ScalingFit:
     """||(S - S_app) sigma_eps|| over the far-field shell per eps; the
     point-monopole replacement of the single layer loses O(eps^2)."""
     if region is None:
         region = ShellRegion(2.0, 3.0)
     cap = capacitance(shape, n_theta, n_phi)
-    pts, w = shell_quadrature(region, n_r, n_ang)
+    pts, w = shell_quadrature(region, *KERNEL_SHELL_ORDERS)
     out = []
     for eps in eps_list:
         grid = build_surface_grid(shape, eps, n_theta, n_phi)

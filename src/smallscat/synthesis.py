@@ -31,8 +31,8 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from . import bem
-from .bem import NearResonanceError, assemble_single_layer, evaluate_potential, \
-    get_static_core, single_precision_workspace, solve_density_with_diagnostics
+from .bem import NearResonanceError, exterior_field, get_static_core, \
+    single_precision_workspace
 from .geometry import StarShape, build_surface_grid, gauss_legendre
 from .incident import ShellPulse, incident_trace
 
@@ -117,17 +117,16 @@ class FrequencyTable:
     def load_csv(path, points: np.ndarray) -> "FrequencyTable":
         points = np.asarray(points, dtype=float)
         with open(path) as fh:
-            header = fh.readline().strip()
-            points_line = fh.readline().strip()
-            edges_line = fh.readline().strip()
+            scenario_hash = _header_value(fh.readline(), "scenario", path)
+            points_key = _header_value(fh.readline(), "points", path)
+            edges_text = _header_value(fh.readline(), "panel_edges", path)
             fh.readline()
             with warnings.catch_warnings():     # a header-only file is rejected below
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, delimiter=",", ndmin=2).reshape(-1, 4)
-        scenario_hash = header.split("=", 1)[1]
-        if points_line.split("=", 1)[1] != _points_digest(points):
+        if points_key != _points_digest(points):
             raise ValueError(f"{path}: stored observation points differ from the requested ones")
-        panel_edges = np.array([float(v) for v in edges_line.split("=", 1)[1].split(",")])
+        panel_edges = np.array([float(v) for v in edges_text.split(",")])
         p = points.shape[0]
         n = len(data) // p
         block = data[:n * p].reshape(n, p, 4)
@@ -180,6 +179,15 @@ def _write_blocks(fh, keys, fields, per_point: int) -> None:
     for key, row in zip(keys, fields):
         head = f"{key:.17g}"
         fh.write((head + head.join(tails)) % tuple(row.tolist()))
+
+
+def _header_value(line: str, key: str, path) -> str:
+    """The value of a `# key=value` table header line."""
+    prefix = f"# {key}="
+    line = line.strip()
+    if not line.startswith(prefix):
+        raise ValueError(f"{path}: expected a '{prefix}' header line, got {line!r}")
+    return line[len(prefix):]
 
 
 def _points_digest(points: np.ndarray) -> str:
@@ -240,14 +248,13 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
         for om in tries:
             s = 1j * om
             try:
-                g = incident_trace(scenario.pulse, s, grid)
-                mat = assemble_single_layer(grid, s)
-                lam, diag = solve_density_with_diagnostics(mat, -g, work=scratch.work)
+                values, diag = exterior_field(grid, s, -incident_trace(scenario.pulse, s, grid),
+                                              points, work=scratch.work)
                 if diag.condition_estimate > CONDITION_LIMIT:
                     raise NearResonanceError(
                         f"condition estimate {diag.condition_estimate:.3e} above limit",
                         s=s, condition_estimate=diag.condition_estimate)
-                return om, evaluate_potential(grid, lam, s, points), diag.condition_estimate
+                return om, values, diag.condition_estimate
             except NearResonanceError as exc:
                 # the message only: a kept record must not pin the grid
                 # through the exception's traceback

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smallscat import bem
+from smallscat import bem, cli
 from smallscat.cli import RunManifest, cmd_capacitance, cmd_checks, main, run_command
 from smallscat.config import (
     ConfigError, default_config, parse_config_file, parse_config_text,
@@ -53,6 +53,16 @@ def test_unknown_key_is_named():
 def test_empty_epsilons_rejected():
     with pytest.raises(ConfigError, match="epsilons"):
         parse_config_text("epsilons = \n")
+
+
+@pytest.mark.parametrize("text", ["0.02, 0.0", "-0.05, 0.02"])
+def test_non_positive_epsilons_rejected(tmp_path, capsys, text):
+    with pytest.raises(ConfigError, match="epsilons"):
+        parse_config_text(f"epsilons = {text}\n")
+    cfg = tmp_path / "scales.cfg"
+    cfg.write_text(f"epsilons = {text}\n")
+    assert main(["checks", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_eps_separation_guard():
@@ -119,6 +129,30 @@ def test_cmd_checks_default(tmp_path):
     assert body[0].startswith("# config=")
     assert body[1] == "check_name,slope,intercept,max_residual,pass"
     assert all(line.endswith(",pass") for line in body[2:])
+
+
+def test_cmd_all_solves_each_capacitance_once(tmp_path, monkeypatch):
+    # a harmonic shape's theorem-2 capacitance is the study's finest solve
+    cfg = parse_config_text("shape = harmonics\n")
+    real_capacitance = bem.capacitance
+    calls, results = [], []
+
+    def spy(shape, *resolution):
+        calls.append(resolution)
+        results.append(real_capacitance(shape, *resolution))
+        return results[-1]
+
+    monkeypatch.setattr(bem, "capacitance", spy)
+    for stage in ("cmd_oracle_compare", "cmd_checks", "cmd_theorem1"):
+        monkeypatch.setattr(cli, stage, lambda *args, **kwargs: None)
+    monkeypatch.setattr(cli, "cmd_synthesize", lambda *args: "prepared")
+    theorem2 = {}
+    monkeypatch.setattr(cli, "cmd_theorem2", lambda *args, **kwargs: theorem2.update(kwargs))
+    manifest = RunManifest(config_hash=cfg.config_hash(), command="all")
+    cli.cmd_all(cfg, tmp_path, manifest)
+    assert calls == list(cli.CAPACITANCE_STUDY)
+    assert theorem2["prepared"] == "prepared"
+    assert theorem2["c1"] == results[-1].c1
 
 
 @pytest.mark.filterwarnings("ignore:frequency tail not resolved")

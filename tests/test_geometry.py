@@ -41,18 +41,11 @@ def test_node_set_scales_exactly(bumpy):
     scaled = build_surface_grid(bumpy, 0.07, 12, 24)
     assert np.array_equal(scaled.nodes, 0.07 * unit.nodes)
     assert np.array_equal(scaled.weights, 0.07 ** 2 * unit.weights)
-    assert np.array_equal(scaled.normals, unit.normals)
 
 
-def test_weights_positive_normals_unit(bumpy):
+def test_weights_positive(bumpy):
     grid = build_surface_grid(bumpy, 0.3, 16, 32)
     assert np.all(grid.weights > 0)
-    assert np.max(np.abs(np.linalg.norm(grid.normals, axis=1) - 1.0)) < 1e-12
-
-
-def test_normals_outward(bumpy):
-    grid = build_surface_grid(bumpy, 1.0, 16, 32)
-    assert np.min(np.sum(grid.normals * grid.unit_directions, axis=1)) > 0
 
 
 def test_grid_preconditions(sphere):

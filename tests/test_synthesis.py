@@ -166,6 +166,15 @@ def test_post_extinction_error_equals_field(scenario, table, oracle, pulse, sphe
     assert np.max(np.abs(u.values)) < 1e-3 * peak
 
 
+def test_table_row_is_scattered_frequency(table, scenario, point):
+    # the sweep's node and scattered_frequency share one exterior-field path
+    for j in (0, 57, 199):
+        value = bem.scattered_frequency(scenario.shape, scenario.epsilon, scenario.pulse,
+                                        1j * table.omegas[j], point,
+                                        n_theta=scenario.n_theta, n_phi=scenario.n_phi)
+        assert np.array_equal(table.values[j], value)
+
+
 def test_table_csv_roundtrip(table, tmp_path):
     path = tmp_path / "table.csv"
     table.save_csv(path)
@@ -234,6 +243,22 @@ def test_cached_table_recomputes_truncated_table(scenario, tmp_path):
     assert _cached_table(path, points, scenario, len(nodes), edges) is None
 
 
+@pytest.mark.parametrize("text", [
+    "",
+    "omega,point_index,re,im\n0,0,1.0,0.0\n",
+    "# scenario=abc\nomega,point_index,re,im\n0,0,1.0,0.0\n"],
+    ids=["empty", "no-header", "partial-header"])
+def test_broken_table_file_is_rejected(scenario, point, tmp_path, text):
+    # what a run killed while writing a table can leave behind: the loader
+    # names the file, and the cache re-sweeps instead of crashing
+    nodes, _, edges = build_frequency_grid(10.0, 16)
+    path = tmp_path / "table.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match="table.csv"):
+        FrequencyTable.load_csv(path, point)
+    assert _cached_table(path, point, scenario, len(nodes), edges) is None
+
+
 @pytest.mark.parametrize("module, name", [
     ("bem", "WINDOW_FACTOR"), ("bem", "WINDOW_CUTOFF"), ("bem", "N_GAMMA"),
     ("bem", "N_ALPHA"), ("bem", "STENCIL_MARGIN"), ("bem", "RESIDUAL_TOL"),
@@ -274,7 +299,7 @@ def test_nudged_node_stays_in_its_cell(pulse, point, monkeypatch, failures):
     # the last node of panel 0 fails its first solves: it is retried three
     # quarters of the way to its cell's edge, toward the panel centre first
     # and then toward the panel edge
-    real_solve = synthesis.solve_density_with_diagnostics
+    real_solve = bem.solve_density_with_diagnostics
     calls = []
 
     def flaky_solve(mat, rhs, **kwargs):
@@ -283,7 +308,7 @@ def test_nudged_node_stays_in_its_cell(pulse, point, monkeypatch, failures):
             raise NearResonanceError("injected failure")
         return real_solve(mat, rhs, **kwargs)
 
-    monkeypatch.setattr(synthesis, "solve_density_with_diagnostics", flaky_solve)
+    monkeypatch.setattr(bem, "solve_density_with_diagnostics", flaky_solve)
     scn = ScatteringScenario(StarShape.sphere(), 0.1, pulse, n_theta=8, n_phi=16)
     t = frequency_sweep(scn, point, omega_max=10.0, n_omega=16)
     nodes, _, edges = build_frequency_grid(10.0, 16)
@@ -339,14 +364,14 @@ def test_sweep_releases_worker_state(pulse, point, monkeypatch):
 def test_failed_node_cancels_pending_nodes(pulse, point, monkeypatch):
     # every node fails its condition gate: the first failure leaves the
     # sweep, and the nodes no worker has started are never solved
-    real_solve = synthesis.solve_density_with_diagnostics
+    real_solve = bem.solve_density_with_diagnostics
     calls = []
 
     def counting_solve(mat, rhs, **kwargs):
         calls.append(None)
         return real_solve(mat, rhs, **kwargs)
 
-    monkeypatch.setattr(synthesis, "solve_density_with_diagnostics", counting_solve)
+    monkeypatch.setattr(bem, "solve_density_with_diagnostics", counting_solve)
     monkeypatch.setattr(synthesis, "CONDITION_LIMIT", 0.0)
     scn = ScatteringScenario(StarShape.sphere(), 0.1, pulse, n_theta=8, n_phi=16)
     with pytest.raises(NearResonanceError, match="failed at all of"):
