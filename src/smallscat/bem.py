@@ -28,6 +28,13 @@ built once per ring and applied one source ring at a time.  The same
 pass builds a second correction matrix for the kernel |x-y|, which repairs
 the remainder's leading odd term s^2 |x-y| / 2 at every frequency for free.
 
+The static kernel is homogeneous under the dilation x -> eps x, and so is
+the window width: the scale-eps core is the unit core with `matrix` times
+eps, `linear_correction` times eps^3 and `distances` times eps, which
+`dilate` attaches to the dilated grid.  The dilation check never uses it: a
+scaled core would make its two solution paths one computation, so it builds
+each scale's core from its own grid.
+
 Solves are dense LU with a residual check and a reciprocal-condition
 estimate; imaginary-axis conditioning is surfaced, never regularized.  The
 LU is mixed-precision (the scheme of LAPACK's zcgesv): the matrix is
@@ -49,7 +56,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -310,6 +317,26 @@ def get_static_core(grid: SurfaceGrid) -> _StaticCore:
     return core
 
 
+def dilate(grid: SurfaceGrid, eps: float) -> SurfaceGrid:
+    """The grid dilated by eps, with its static core scaled from `grid`'s.
+
+    Nodes are eps times `grid.nodes` and weights eps^2 times `grid.weights`;
+    from a unit-scale grid both are bit-identical to
+    `build_surface_grid(shape, eps, ...)`.  The core of `grid` (built here if
+    it has none) is attached with `matrix` times eps, `linear_correction`
+    times eps^3 and `distances` times eps, its diagonal kept at 1.
+    """
+    core = get_static_core(grid)
+    dilated = replace(grid, epsilon=grid.epsilon * eps, nodes=eps * grid.nodes,
+                      weights=(eps * eps) * grid.weights)
+    dist = core.distances * eps
+    np.fill_diagonal(dist, 1.0)
+    object.__setattr__(dilated, "_static_core", _StaticCore(
+        matrix=core.matrix * eps, linear_correction=core.linear_correction * eps ** 3,
+        distances=dist))
+    return dilated
+
+
 # ---------------------------------------------------------------------------
 # Assembly and solves
 # ---------------------------------------------------------------------------
@@ -534,10 +561,14 @@ def capacitance(shape: StarShape, n_theta: int = 24, n_phi: int = 48) -> Capacit
     static single layer).
     """
     grid = build_surface_grid(shape, 1.0, n_theta, n_phi)
-    mat = assemble_single_layer(grid, 0.0)
-    sigma = solve_density(mat, np.ones(grid.n_nodes))
+    sigma = _equilibrium_density(grid)
     c1 = float(np.sum(grid.weights * sigma))
     return CapacitanceResult(c1=c1, sigma1=sigma)
+
+
+def _equilibrium_density(grid: SurfaceGrid) -> np.ndarray:
+    """Density sigma with S0 sigma = 1 on the grid."""
+    return solve_density(assemble_single_layer(grid, 0.0), np.ones(grid.n_nodes))
 
 
 # ---------------------------------------------------------------------------

@@ -385,11 +385,8 @@ def cmd_checks(config: ExperimentConfig, out_dir: Path, manifest: RunManifest):
     named_fits = []
 
     t0 = time.time()
-    worst = 0.0
-    for shape, label in ((StarShape.sphere(), "sphere"), (bumpy, "bumpy")):
-        for eps in (0.1, 0.25):
-            for s in (1.0, 2j):
-                worst = max(worst, metrics.check_dilation_identity(shape, eps, s))
+    worst = max(metrics.check_dilation_identity(shape, (0.1, 0.25), (1.0, 2j))
+                for shape in (StarShape.sphere(), bumpy))
     manifest.add_timing("check_dilation", time.time() - t0)
     manifest.add_check(CheckResult(
         "dilation_identity", bool(worst < TOL_DILATION),

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import apply_S_app, density_app
-from .bem import assemble_single_layer, boundary_projections, capacitance, \
-    evaluate_potential, exterior_field, solve_density
+from .bem import _equilibrium_density, assemble_single_layer, boundary_projections, \
+    capacitance, dilate, evaluate_potential, exterior_field, solve_density
 from .geometry import ShellRegion, StarShape, build_surface_grid, shell_quadrature
 from .incident import ShellPulse, incident_trace
 
@@ -106,23 +106,26 @@ def check_projection_scaling(shape: StarShape, pulse: ShellPulse, s: complex,
 def check_density_expansion(shape: StarShape, pulse: ShellPulse, s: complex,
                             eps_list, n_theta: int = 20, n_phi: int = 40) -> ScalingFit:
     """Relative L2(Gamma) error of the equilibrium-density approximation
-    of the solved BIE density; expected slope 1 in eps."""
-    cap = capacitance(shape, n_theta, n_phi)
+    of the solved BIE density; expected slope 1 in eps.  One unit-scale
+    static core serves every scale, scaled by `bem.dilate`."""
+    unit = build_surface_grid(shape, 1.0, n_theta, n_phi)
+    sigma1 = _equilibrium_density(unit)
     pts = []
     for eps in eps_list:
-        grid = build_surface_grid(shape, eps, n_theta, n_phi)
+        grid = dilate(unit, eps)
         trace = incident_trace(pulse, s, grid)
         lam = solve_density(assemble_single_layer(grid, s), -trace)
-        lam_app = density_app(grid, pulse, s, cap.sigma1)
+        lam_app = density_app(grid, pulse, s, sigma1)
         num = np.sqrt(np.sum(grid.weights * np.abs(lam - lam_app) ** 2))
         den = np.sqrt(np.sum(grid.weights * np.abs(lam) ** 2))
         pts.append((eps, num / den))
     return fit_power_law(pts)
 
 
-def check_dilation_identity(shape: StarShape, epsilon: float, s: complex) -> float:
-    """Max relative mismatch between the two dilation solution paths:
-    solve at (eps, s) vs solve at (1, eps*s) with mapped data and points.
+def check_dilation_identity(shape: StarShape, eps_list, s_list) -> float:
+    """Max relative mismatch between the two dilation solution paths over
+    every (eps, s): solve at (eps, s) vs solve at (1, eps*s) with mapped
+    data and points.  Each grid, built once, builds its own static core.
 
     The boundary data are exp(-0.3 x) (1 + 0.5 y) + 0.2 z, passed as
     complex values, so at real s the real matrix is solved with two
@@ -132,12 +135,16 @@ def check_dilation_identity(shape: StarShape, epsilon: float, s: complex) -> flo
         return (np.exp(-0.3 * pts[:, 0]) * (1.0 + 0.5 * pts[:, 1])
                 + 0.2 * pts[:, 2]).astype(complex)
 
-    grid_eps = build_surface_grid(shape, epsilon, *DILATION_RESOLUTION)
     grid_one = build_surface_grid(shape, 1.0, *DILATION_RESOLUTION)
-    va, _ = exterior_field(grid_eps, s, data(grid_eps.nodes), DILATION_POINTS)
-    vb, _ = exterior_field(grid_one, epsilon * s, data(epsilon * grid_one.nodes),
-                           DILATION_POINTS / epsilon)
-    return float(np.max(np.abs(va - vb)) / np.max(np.abs(va)))
+    worst = 0.0
+    for eps in eps_list:
+        grid_eps = build_surface_grid(shape, eps, *DILATION_RESOLUTION)
+        for s in s_list:
+            va, _ = exterior_field(grid_eps, s, data(grid_eps.nodes), DILATION_POINTS)
+            vb, _ = exterior_field(grid_one, eps * s, data(eps * grid_one.nodes),
+                                   DILATION_POINTS / eps)
+            worst = max(worst, float(np.max(np.abs(va - vb)) / np.max(np.abs(va))))
+    return worst
 
 
 def check_kernel_difference(shape: StarShape, eps_list, s: complex,

@@ -25,7 +25,7 @@ import math
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import spherical_jn
@@ -85,7 +85,6 @@ class FrequencyTable:
     points: np.ndarray           # (P, 3)
     values: np.ndarray           # (n, P) complex
     scenario_hash: str
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n, p = self.values.shape
@@ -269,9 +268,8 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
         used, rows, conds = zip(*pool.map(solve, range(len(nodes))))
     omegas = np.array(used)
     values = np.array(rows)
-    worst_cond = max(conds)
     logger.info("sweep eps=%.3g: %d nodes, worst condition estimate %.3e",
-                scenario.epsilon, len(nodes), worst_cond)
+                scenario.epsilon, len(nodes), max(conds))
 
     tail = np.max(np.abs(values[-GL_PER_PANEL:])) if len(nodes) >= GL_PER_PANEL else 0.0
     peak = float(np.max(np.abs(values))) if values.size else 0.0
@@ -280,12 +278,9 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
             f"frequency tail not resolved: last-panel magnitude {tail:.2e} vs peak {peak:.2e}; "
             f"increase omega_max", stacklevel=2)
 
-    meta = {"omega_max": omega_max, "worst_condition": worst_cond,
-            "epsilon": scenario.epsilon,
-            "n_theta": scenario.n_theta, "n_phi": scenario.n_phi}
     return FrequencyTable(omegas=omegas, weights=weights, panel_edges=edges,
                           points=points, values=values,
-                          scenario_hash=scenario.content_hash(), meta=meta)
+                          scenario_hash=scenario.content_hash())
 
 
 # -- inversion ---------------------------------------------------------------

@@ -189,11 +189,8 @@ def test_criterion_06_runtime(theorem_data):
 
 # -- criterion 7: dilation identity --------------------------------------------------
 def test_criterion_07_dilation(sphere, bumpy):
-    worst = 0.0
-    for shape in (sphere, bumpy):
-        for eps in (0.1, 0.25):
-            for s in (1.0, 2j):
-                worst = max(worst, metrics.check_dilation_identity(shape, eps, s))
+    worst = max(metrics.check_dilation_identity(shape, (0.1, 0.25), (1.0, 2j))
+                for shape in (sphere, bumpy))
     ok = worst < 1e-10
     assert _report("7 (dilation identity)", ok,
                    f"max relative mismatch {worst:.2e} over shapes x (0.1, 0.25) x (1, 2i)")

@@ -10,7 +10,7 @@ from smallscat import bem
 from smallscat.bem import (
     NEAR_FIELD_FACTOR, RESIDUAL_TOL, NearFieldEvaluationError, NearResonanceError,
     SingleLayerMatrix, assemble_single_layer,
-    boundary_projections, capacitance, evaluate_potential, exterior_field,
+    boundary_projections, capacitance, dilate, evaluate_potential, exterior_field,
     get_static_core, scattered_frequency, solve_density, solve_density_with_diagnostics,
 )
 from smallscat.geometry import ShellRegion, StarShape, build_surface_grid, shell_quadrature
@@ -133,6 +133,27 @@ def test_static_core_turn_equivariance(l, m):
         want = getattr(cores[0], name)[np.ix_(turned, turned)]
         got = getattr(cores[1], name)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("shape_name", ["sphere", "bumpy_sphere"])
+def test_dilated_core_matches_fresh_build(shape_name):
+    # the static kernel is homogeneous under x -> eps x: the scaled unit core
+    # agrees with a core built on the scale-eps grid
+    shape = getattr(StarShape, shape_name)()
+    unit = build_surface_grid(shape, 1.0, 16, 32)
+    for eps in (0.02, 0.16):
+        dilated = dilate(unit, eps)
+        fresh = build_surface_grid(shape, eps, 16, 32)
+        assert dilated.epsilon == eps
+        assert np.array_equal(dilated.nodes, fresh.nodes)
+        assert np.array_equal(dilated.weights, fresh.weights)
+        core, ref = get_static_core(dilated), get_static_core(fresh)
+        for name in ("matrix", "linear_correction"):
+            want = getattr(ref, name)
+            assert np.max(np.abs(getattr(core, name) - want)) <= 1e-14 * np.max(np.abs(want))
+        assert np.array_equal(np.diag(core.distances), np.ones(unit.n_nodes))
+        got, want = (assemble_single_layer(g, 2j).matrix for g in (dilated, fresh))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # -- solves ------------------------------------------------------------------
@@ -316,7 +337,7 @@ def test_real_matrix_with_complex_data_is_solved_in_real_arithmetic(sphere, lapa
     # the dilation check's real-s solves: no complex factorization, same verdict
     lapack_calls.clear()
     for shape in (sphere, StarShape.bumpy_sphere()):
-        assert check_dilation_identity(shape, 0.1, 1.0) < 1e-10
+        assert check_dilation_identity(shape, (0.1,), (1.0,)) < 1e-10
     factored = [dt for name, dt, _ in lapack_calls if name == "getrf"]
     assert factored and all(dt == np.float32 for dt in factored)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from smallscat import bem
 from smallscat.geometry import ShellRegion, StarShape, build_surface_grid, gauss_legendre, \
     shell_quadrature
 from smallscat.incident import incident_time
@@ -129,15 +130,34 @@ def test_density_expansion_sphere_static_exact(pulse, sphere):
     assert max(fit.ordinates) < 1e-6
 
 
-def test_dilation_identity_windows(sphere, bumpy):
+@pytest.fixture
+def core_builds(monkeypatch):
+    """Epsilon of each grid whose static core is built."""
+    built = []
+    build = bem._static_core
+
+    def counted(grid):
+        built.append(grid.epsilon)
+        return build(grid)
+    monkeypatch.setattr(bem, "_static_core", counted)
+    return built
+
+
+def test_dilation_identity_windows(sphere, bumpy, core_builds):
     for shape in (sphere, bumpy):
-        for eps in (0.1, 0.25):
-            for s in (1.0, 2j):
-                assert check_dilation_identity(shape, eps, s) < 1e-10
+        core_builds.clear()
+        assert check_dilation_identity(shape, (0.1, 0.25), (1.0, 2j)) < 1e-10
+        # one core per grid: the unit grid and each scale's own
+        assert sorted(core_builds) == [0.1, 0.25, 1.0]
 
 
 def test_dilation_identity_trivial_at_unit_scale(sphere):
-    assert check_dilation_identity(sphere, 1.0, 1.5) == 0.0
+    assert check_dilation_identity(sphere, (1.0,), (1.5,)) == 0.0
+
+
+def test_density_expansion_builds_one_core(pulse, sphere, core_builds):
+    check_density_expansion(sphere, pulse, 1j, (0.02, 0.04, 0.08), n_theta=12, n_phi=24)
+    assert core_builds == [1.0]
 
 
 def test_kernel_difference_slope():
