@@ -22,6 +22,7 @@ import logging
 import math
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -72,8 +73,12 @@ class CheckResult:
 
 @dataclass
 class RunManifest:
+    """The record of one run: every file it writes in out_dir, the wall time
+    of each stage and every check verdict."""
+
     config_hash: str
     command: str
+    out_dir: Path
     files: list = field(default_factory=list)
     timings: list = field(default_factory=list)
     checks: list = field(default_factory=list)
@@ -81,20 +86,38 @@ class RunManifest:
     def add_file(self, path: Path):
         self.files.append(str(path))
 
-    def add_timing(self, stage: str, seconds: float):
-        self.timings.append((stage, seconds))
+    def write_csv(self, name: str, header: str, rows) -> None:
+        """Write out_dir/name, floats as %.17g under a `# config=` line, and
+        list it."""
+        path = self.out_dir / name
+        with open(path, "w") as fh:
+            fh.write(f"# config={self.config_hash}\n")
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                                  for v in row) + "\n")
+        self.add_file(path)
 
-    def add_check(self, check: CheckResult):
+    @contextmanager
+    def stage(self, name: str):
+        """Record the wall time of the block as stage name."""
+        t0 = time.time()
+        yield
+        self.timings.append((name, time.time() - t0))
+
+    def add_check(self, name: str, passed, detail: str) -> bool:
+        """Record a verdict and return it."""
+        check = CheckResult(name, bool(passed), detail)
         self.checks.append(check)
-        logger.info("check %s: %s (%s)", check.name,
-                    "PASS" if check.passed else "FAIL", check.detail)
+        logger.info("check %s: %s (%s)", name, "PASS" if check.passed else "FAIL", detail)
+        return check.passed
 
     @property
     def all_passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def write(self, out_dir: Path):
-        path = out_dir / "MANIFEST"
+    def write(self) -> Path:
+        path = self.out_dir / "MANIFEST"
         with open(path, "w") as fh:
             fh.write(f"config_hash: {self.config_hash}\n")
             fh.write(f"command: {self.command}\n")
@@ -111,92 +134,56 @@ class RunManifest:
         return path
 
 
-def _write_csv(path: Path, header: str, rows, provenance: str = "") -> None:
-    with open(path, "w") as fh:
-        if provenance:
-            fh.write(f"# config={provenance}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
-
-
 def _fit_check(manifest: RunManifest, name: str, fit: ScalingFit) -> bool:
     """Record whether fit lies in the SLOPE_WINDOWS entry for name; return it."""
     target, slope_tol, resid_tol = SLOPE_WINDOWS[name]
-    passed = fit.within(target, slope_tol, resid_tol)
-    manifest.add_check(CheckResult(
-        name, passed,
-        f"slope={fit.slope:.4f} target={target}+-{slope_tol} residual={fit.max_residual:.4f}"))
-    return passed
-
-
-def _fits_csv_rows(named_fits) -> list:
-    rows = []
-    for name, fit, passed in named_fits:
-        rows.append((name, fit.slope, fit.intercept, fit.max_residual,
-                     "pass" if passed else "fail"))
-    return rows
+    return manifest.add_check(
+        name, fit.within(target, slope_tol, resid_tol),
+        f"slope={fit.slope:.4f} target={target}+-{slope_tol} residual={fit.max_residual:.4f}")
 
 
 # ---------------------------------------------------------------------------
 # capacitance
 # ---------------------------------------------------------------------------
-def cmd_capacitance(config: ExperimentConfig, out_dir: Path, manifest: RunManifest):
-    is_sphere = config.shape.is_sphere
-    reference = None
-    if is_sphere:
-        reference = 4.0 * math.pi * config.shape.constant
+def cmd_capacitance(config: ExperimentConfig, manifest: RunManifest):
     rows = []
     results = []
-    start = time.time()
     for (nt, np_) in CAPACITANCE_STUDY:
-        t0, cpu0 = time.time(), time.process_time()
-        cap = bem.capacitance(config.shape, nt, np_)
-        dt, cpu = time.time() - t0, time.process_time() - cpu0
+        with manifest.stage(f"capacitance_{nt}x{np_}"):
+            t0, cpu0 = time.time(), time.process_time()
+            cap = bem.capacitance(config.shape, nt, np_)
+            dt, cpu = time.time() - t0, time.process_time() - cpu0
         results.append(cap)
         rows.append([nt, np_, cap.c1, float(np.min(cap.sigma1)), float(np.max(cap.sigma1)), dt])
-        manifest.add_timing(f"capacitance_{nt}x{np_}", dt)
-    if reference is None:
-        reference = results[-1].c1      # self-convergence reference for bumpy shapes
+    # bumpy shapes are measured against their finest solve (self-convergence)
+    reference = (4.0 * math.pi * config.shape.constant if config.shape.is_sphere
+                 else results[-1].c1)
     errors = [abs(r.c1 - reference) / abs(reference) for r in results]
-    for row, err in zip(rows, errors):
-        row.append(err)
-    _write_csv(out_dir / "capacitance.csv",
-               "n_theta,n_phi,c1,sigma_min,sigma_max,seconds,rel_error", rows,
-               provenance=manifest.config_hash)
-    manifest.add_file(out_dir / "capacitance.csv")
+    manifest.write_csv("capacitance.csv",
+                       "n_theta,n_phi,c1,sigma_min,sigma_max,seconds,rel_error",
+                       [row + [err] for row, err in zip(rows, errors)])
 
-    final_err = errors[-1]
+    manifest.add_check(
+        "capacitance_value", errors[-1] <= TOL_CAPACITANCE,
+        f"c1={results[-1].c1:.8f} rel_err={errors[-1]:.3e} tol={TOL_CAPACITANCE}")
     # gated on the process CPU time of the finest solve (BLAS threads add to
     # it), not wall time, so the verdict does not follow machine load
-    runtime = cpu
-    manifest.add_check(CheckResult(
-        "capacitance_value", bool(final_err <= TOL_CAPACITANCE),
-        f"c1={results[-1].c1:.8f} rel_err={final_err:.3e} tol={TOL_CAPACITANCE}"))
-    manifest.add_check(CheckResult(
-        "capacitance_runtime", bool(runtime < 5.0), f"{runtime:.2f}s CPU at 24x48 (< 5 s)"))
+    manifest.add_check("capacitance_runtime", cpu < 5.0, f"{cpu:.2f}s CPU at 24x48 (< 5 s)")
     # the singular scheme is spectrally exact for the shipped smooth shapes:
     # errors sit at a ~1e-9 roundoff floor, so decrease is only required
     # above it
     floor = 5e-9
     monotone = all(errors[i + 1] <= max(1.05 * errors[i], floor) for i in range(len(errors) - 1))
-    manifest.add_check(CheckResult(
-        "capacitance_refinement", bool(monotone),
-        "errors " + " ".join(f"{e:.2e}" for e in errors) + f" (non-increasing above {floor:.0e} floor)"))
-    logger.info("capacitance study finished in %.1fs", time.time() - start)
+    manifest.add_check(
+        "capacitance_refinement", monotone,
+        "errors " + " ".join(f"{e:.2e}" for e in errors) + f" (non-increasing above {floor:.0e} floor)")
     return results
 
 
 # ---------------------------------------------------------------------------
 # oracle comparison
 # ---------------------------------------------------------------------------
-def cmd_oracle_compare(config: ExperimentConfig, out_dir: Path, manifest: RunManifest):
+def cmd_oracle_compare(config: ExperimentConfig, manifest: RunManifest):
     pulse = config.pulse
     if pulse.origin_distance != 0.0:
         raise ConfigError("oracle-compare requires an origin-centered pulse")
@@ -205,7 +192,6 @@ def cmd_oracle_compare(config: ExperimentConfig, out_dir: Path, manifest: RunMan
     point = np.array([[ORACLE_RADIUS, 0.0, 0.0]])
 
     rows = []
-    worst_final = 0.0
     for (nt, np_) in ORACLE_RESOLUTIONS:
         grid = build_surface_grid(shape, ORACLE_EPS, nt, np_)
         for s in ORACLE_FREQUENCIES:
@@ -213,34 +199,28 @@ def cmd_oracle_compare(config: ExperimentConfig, out_dir: Path, manifest: RunMan
             ref = sphere_scattered_frequency(scn, s, ORACLE_RADIUS)
             rel = abs(val - ref) / abs(ref)
             rows.append([nt, np_, complex(s).imag, val.real, val.imag, ref.real, ref.imag, rel])
-            if (nt, np_) == ORACLE_RESOLUTIONS[-1]:
-                worst_final = max(worst_final, rel)
-    _write_csv(out_dir / "oracle_compare_frequency.csv",
-               "n_theta,n_phi,omega,bem_re,bem_im,oracle_re,oracle_im,rel_error", rows,
-               provenance=manifest.config_hash)
-    manifest.add_file(out_dir / "oracle_compare_frequency.csv")
-    manifest.add_check(CheckResult(
-        "oracle_frequency", bool(worst_final <= TOL_ORACLE_FREQ),
-        f"worst rel error {worst_final:.3e} at {ORACLE_RESOLUTIONS[-1]} (tol {TOL_ORACLE_FREQ})"))
+    worst_final = max(row[-1] for row in rows[-len(ORACLE_FREQUENCIES):])   # finest grid
+    manifest.write_csv("oracle_compare_frequency.csv",
+                       "n_theta,n_phi,omega,bem_re,bem_im,oracle_re,oracle_im,rel_error", rows)
+    manifest.add_check(
+        "oracle_frequency", worst_final <= TOL_ORACLE_FREQ,
+        f"worst rel error {worst_final:.3e} at {ORACLE_RESOLUTIONS[-1]} (tol {TOL_ORACLE_FREQ})")
 
-    t0 = time.time()
-    scenario = ScatteringScenario(shape, ORACLE_EPS, pulse,
-                                  n_theta=config.n_theta, n_phi=config.n_phi)
-    table = frequency_sweep(scenario, point, config.omega_max, config.n_omega,
-                            workers=config.workers)
-    times = np.linspace(0.0, config.t_max, config.n_t)
-    series = inverse_transform(table, times)
-    exact = np.array([sphere_scattered_time(scn, t, ORACLE_RADIUS) for t in times])
-    peak = float(np.max(np.abs(exact)))
-    err = float(np.max(np.abs(series.values[:, 0] - exact)))
-    manifest.add_timing("oracle_time_domain", time.time() - t0)
-    _write_csv(out_dir / "oracle_compare_time.csv", "t,synthesized,exact",
-               [[t, v, e] for t, v, e in zip(times, series.values[:, 0], exact)],
-               provenance=manifest.config_hash)
-    manifest.add_file(out_dir / "oracle_compare_time.csv")
-    manifest.add_check(CheckResult(
-        "oracle_time_domain", bool(err <= TOL_ORACLE_TIME * peak),
-        f"max-in-time error {err:.3e} vs {TOL_ORACLE_TIME} x peak {peak:.3e}"))
+    with manifest.stage("oracle_time_domain"):
+        scenario = ScatteringScenario(shape, ORACLE_EPS, pulse,
+                                      n_theta=config.n_theta, n_phi=config.n_phi)
+        table = frequency_sweep(scenario, point, config.omega_max, config.n_omega,
+                                workers=config.workers)
+        times = np.linspace(0.0, config.t_max, config.n_t)
+        series = inverse_transform(table, times)
+        exact = np.array([sphere_scattered_time(scn, t, ORACLE_RADIUS) for t in times])
+        peak = float(np.max(np.abs(exact)))
+        err = float(np.max(np.abs(series.values[:, 0] - exact)))
+    manifest.write_csv("oracle_compare_time.csv", "t,synthesized,exact",
+                       [[t, v, e] for t, v, e in zip(times, series.values[:, 0], exact)])
+    manifest.add_check(
+        "oracle_time_domain", err <= TOL_ORACLE_TIME * peak,
+        f"max-in-time error {err:.3e} vs {TOL_ORACLE_TIME} x peak {peak:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +230,13 @@ def _observation_rule(config: ExperimentConfig):
     return shell_quadrature(config.shell, SHELL_N_R, SHELL_N_ANG)
 
 
-def _table_path(out_dir: Path, eps: float) -> Path:
-    return out_dir / f"freq_table_eps{eps:g}.csv"
+def _synthesis_times(config: ExperimentConfig) -> np.ndarray:
+    return np.union1d(np.linspace(0.0, config.t_max, config.n_t), [config.t0])
+
+
+def _tail_window(config: ExperimentConfig, times: np.ndarray) -> np.ndarray:
+    """The times the tail checks look at: from t* + 0.5 on."""
+    return times >= config.t_star + 0.5
 
 
 def _cached_table(path: Path, points: np.ndarray, scenario: ScatteringScenario,
@@ -275,7 +260,7 @@ def _cached_table(path: Path, points: np.ndarray, scenario: ScatteringScenario,
     return cached
 
 
-def cmd_sweep(config: ExperimentConfig, out_dir: Path, manifest: RunManifest) -> dict:
+def cmd_sweep(config: ExperimentConfig, manifest: RunManifest) -> dict:
     """One frequency table per scale; reuses an on-disk table built for the
     same scenario and frequency grid."""
     pts, _ = _observation_rule(config)
@@ -284,28 +269,27 @@ def cmd_sweep(config: ExperimentConfig, out_dir: Path, manifest: RunManifest) ->
     for eps in config.epsilons:
         scenario = ScatteringScenario(config.shape, eps, config.pulse,
                                       n_theta=config.n_theta, n_phi=config.n_phi)
-        path = _table_path(out_dir, eps)
+        path = manifest.out_dir / f"freq_table_eps{eps:g}.csv"
         cached = _cached_table(path, pts, scenario, len(nodes), edges)
         if cached is not None:
             tables[eps] = cached
             continue
-        t0 = time.time()
-        table = frequency_sweep(scenario, pts, config.omega_max, config.n_omega,
-                                workers=config.workers)
-        manifest.add_timing(f"sweep_eps_{eps:g}", time.time() - t0)
+        with manifest.stage(f"sweep_eps_{eps:g}"):
+            table = frequency_sweep(scenario, pts, config.omega_max, config.n_omega,
+                                    workers=config.workers)
         table.save_csv(path)
         manifest.add_file(path)
         tables[eps] = table
     return tables
 
 
-def cmd_synthesize(config: ExperimentConfig, out_dir: Path, manifest: RunManifest):
-    tables = cmd_sweep(config, out_dir, manifest)
-    times = np.union1d(np.linspace(0.0, config.t_max, config.n_t), [config.t0])
+def cmd_synthesize(config: ExperimentConfig, manifest: RunManifest):
+    tables = cmd_sweep(config, manifest)
+    times = _synthesis_times(config)
     series = {}
     for eps, table in tables.items():
         ts = inverse_transform(table, times)
-        path = out_dir / f"timeseries_eps{eps:g}.csv"
+        path = manifest.out_dir / f"timeseries_eps{eps:g}.csv"
         ts.save_csv(path)
         manifest.add_file(path)
         series[eps] = ts
@@ -315,20 +299,19 @@ def cmd_synthesize(config: ExperimentConfig, out_dir: Path, manifest: RunManifes
 # ---------------------------------------------------------------------------
 # theorem commands
 # ---------------------------------------------------------------------------
-def _norm_scaling(config: ExperimentConfig, out_dir: Path, manifest: RunManifest,
-                  prepared, quantity, name: str, header: str, tail_check: str,
-                  tail_label: str):
+def _norm_scaling(config: ExperimentConfig, manifest: RunManifest, prepared, quantity,
+                  name: str, header: str, tail_check: str, tail_label: str):
     """Shell-norm history of quantity(eps, times, u_sc) per scale: its value
     at t0 is fitted against eps, and its largest value after t* + 0.5 is
     compared with the peak field norm before t*."""
     _, weights = _observation_rule(config)
     if prepared is None:
-        prepared = cmd_synthesize(config, out_dir, manifest)
+        prepared = cmd_synthesize(config, manifest)
     _, series = prepared
     times = next(iter(series.values())).times
     i_t0 = int(np.argmin(np.abs(times - config.t0)))
     pre = times <= config.t_star
-    post = times >= config.t_star + 0.5
+    post = _tail_window(config, times)
 
     rows, points, tail_ratios = [], [], []
     for eps in config.epsilons:
@@ -340,27 +323,24 @@ def _norm_scaling(config: ExperimentConfig, out_dir: Path, manifest: RunManifest
         points.append((eps, float(norms[i_t0])))
         tail_ratios.append(tail / peak)
     fit = fit_power_law(points)
-    _write_csv(out_dir / f"{name}.csv", header, rows, provenance=manifest.config_hash)
-    manifest.add_file(out_dir / f"{name}.csv")
+    manifest.write_csv(f"{name}.csv", header, rows)
     _fit_check(manifest, f"{name}_slope", fit)
     worst = max(tail_ratios)
-    manifest.add_check(CheckResult(
-        tail_check, bool(worst < TAIL_RATIO_LIMIT),
-        f"worst post-t* {tail_label} {worst:.2e} (< {TAIL_RATIO_LIMIT})"))
+    manifest.add_check(tail_check, worst < TAIL_RATIO_LIMIT,
+                       f"worst post-t* {tail_label} {worst:.2e} (< {TAIL_RATIO_LIMIT})")
     return fit, rows
 
 
-def cmd_theorem1(config: ExperimentConfig, out_dir: Path, manifest: RunManifest,
-                 prepared=None):
+def cmd_theorem1(config: ExperimentConfig, manifest: RunManifest, prepared=None):
     """Field scaling ||u_sc(t0)|| ~ eps and tail extinction after t*."""
-    return _norm_scaling(config, out_dir, manifest, prepared,
+    return _norm_scaling(config, manifest, prepared,
                          lambda eps, times, u_sc: u_sc, "theorem1",
                          "eps,norm_t0,pre_peak,post_tail,tail_ratio",
                          "huygens_tail", "tail/peak")
 
 
-def cmd_theorem2(config: ExperimentConfig, out_dir: Path, manifest: RunManifest,
-                 prepared=None, c1: float | None = None):
+def cmd_theorem2(config: ExperimentConfig, manifest: RunManifest, prepared=None,
+                 c1: float | None = None):
     """Model-error scaling ||u_app - u_sc||(t0) ~ eps^2 and the same tail check."""
     pts, _ = _observation_rule(config)
     if c1 is None:
@@ -370,7 +350,7 @@ def cmd_theorem2(config: ExperimentConfig, out_dir: Path, manifest: RunManifest,
         model = PointScattererModel(c_eps=eps * c1, pulse=config.pulse)
         return np.stack([point_scatterer_time(model, t, pts) for t in times]) - u_sc
 
-    return _norm_scaling(config, out_dir, manifest, prepared, model_error, "theorem2",
+    return _norm_scaling(config, manifest, prepared, model_error, "theorem2",
                          "eps,error_norm_t0,field_pre_peak,post_tail,tail_ratio",
                          "theorem2_tail", "error tail/field peak")
 
@@ -378,60 +358,45 @@ def cmd_theorem2(config: ExperimentConfig, out_dir: Path, manifest: RunManifest,
 # ---------------------------------------------------------------------------
 # proposition checks
 # ---------------------------------------------------------------------------
-def cmd_checks(config: ExperimentConfig, out_dir: Path, manifest: RunManifest):
-    eps_list = list(config.epsilons)
+def cmd_checks(config: ExperimentConfig, manifest: RunManifest):
     bumpy = StarShape.bumpy_sphere()
-    offset_bumpy = StarShape.offset_bumpy_sphere()
-    named_fits = []
+    fits = {}
 
-    t0 = time.time()
-    worst = max(metrics.check_dilation_identity(shape, (0.1, 0.25), (1.0, 2j))
-                for shape in (StarShape.sphere(), bumpy))
-    manifest.add_timing("check_dilation", time.time() - t0)
-    manifest.add_check(CheckResult(
-        "dilation_identity", bool(worst < TOL_DILATION),
-        f"max relative mismatch {worst:.2e} (< {TOL_DILATION})"))
+    with manifest.stage("check_dilation"):
+        worst = max(metrics.check_dilation_identity(shape, (0.1, 0.25), (1.0, 2j))
+                    for shape in (StarShape.sphere(), bumpy))
+    manifest.add_check("dilation_identity", worst < TOL_DILATION,
+                       f"max relative mismatch {worst:.2e} (< {TOL_DILATION})")
+    with manifest.stage("check_projection"):
+        fits["projection_mean"], fits["projection_fluctuation"] = \
+            metrics.check_projection_scaling(bumpy, config.pulse, 1j, config.epsilons,
+                                             config.n_theta, config.n_phi)
+    with manifest.stage("check_density"):
+        fits["density_expansion"] = metrics.check_density_expansion(
+            bumpy, config.pulse, 1j, config.epsilons, config.n_theta, config.n_phi)
+    with manifest.stage("check_kernel"):
+        fits["kernel_difference"] = metrics.check_kernel_difference(
+            StarShape.offset_bumpy_sphere(), config.epsilons, 1j, config.shell,
+            config.n_theta, config.n_phi)
 
-    t0 = time.time()
-    mean_fit, fluct_fit = metrics.check_projection_scaling(
-        bumpy, config.pulse, 1j, eps_list, config.n_theta, config.n_phi)
-    manifest.add_timing("check_projection", time.time() - t0)
-    named_fits += [
-        ("projection_mean", mean_fit,
-         _fit_check(manifest, "projection_mean_slope", mean_fit)),
-        ("projection_fluctuation", fluct_fit,
-         _fit_check(manifest, "projection_fluctuation_slope", fluct_fit))]
-
-    t0 = time.time()
-    dens_fit = metrics.check_density_expansion(
-        bumpy, config.pulse, 1j, eps_list, config.n_theta, config.n_phi)
-    manifest.add_timing("check_density", time.time() - t0)
-    named_fits.append(("density_expansion", dens_fit,
-                       _fit_check(manifest, "density_expansion_slope", dens_fit)))
-
-    t0 = time.time()
-    kern_fit = metrics.check_kernel_difference(
-        offset_bumpy, eps_list, 1j, config.shell, config.n_theta, config.n_phi)
-    manifest.add_timing("check_kernel", time.time() - t0)
-    named_fits.append(("kernel_difference", kern_fit,
-                       _fit_check(manifest, "kernel_difference_slope", kern_fit)))
-
-    _write_csv(out_dir / "checks.csv", "check_name,slope,intercept,max_residual,pass",
-               _fits_csv_rows(named_fits), provenance=manifest.config_hash)
-    manifest.add_file(out_dir / "checks.csv")
+    manifest.write_csv(
+        "checks.csv", "check_name,slope,intercept,max_residual,pass",
+        [(name, fit.slope, fit.intercept, fit.max_residual,
+          "pass" if _fit_check(manifest, f"{name}_slope", fit) else "fail")
+         for name, fit in fits.items()])
 
 
 # ---------------------------------------------------------------------------
 # driver
 # ---------------------------------------------------------------------------
-def cmd_all(config: ExperimentConfig, out_dir: Path, manifest: RunManifest):
-    caps = cmd_capacitance(config, out_dir, manifest)
-    cmd_oracle_compare(config, out_dir, manifest)
-    cmd_checks(config, out_dir, manifest)
-    prepared = cmd_synthesize(config, out_dir, manifest)
-    cmd_theorem1(config, out_dir, manifest, prepared=prepared)
+def cmd_all(config: ExperimentConfig, manifest: RunManifest):
+    caps = cmd_capacitance(config, manifest)
+    cmd_oracle_compare(config, manifest)
+    cmd_checks(config, manifest)
+    prepared = cmd_synthesize(config, manifest)
+    cmd_theorem1(config, manifest, prepared=prepared)
     # the study's finest resolution is bem.capacitance's default one
-    cmd_theorem2(config, out_dir, manifest, prepared=prepared, c1=caps[-1].c1)
+    cmd_theorem2(config, manifest, prepared=prepared, c1=caps[-1].c1)
 
 
 COMMANDS = {
@@ -447,14 +412,19 @@ COMMANDS = {
 
 
 def run_command(name: str, config: ExperimentConfig, out_dir) -> RunManifest:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = RunManifest(config_hash=config.config_hash(), command=name)
-    t0 = time.time()
-    COMMANDS[name](config, out_dir, manifest)
-    manifest.add_timing("total", time.time() - t0)
-    manifest_path = manifest.write(out_dir)
-    logger.info("manifest written to %s (overall %s)", manifest_path,
+    # reject, before any work, a config whose fits the command could not form
+    if name in ("theorem1", "theorem2", "checks", "all") and len(config.epsilons) < 2:
+        raise ConfigError(f"key 'epsilons': '{name}' fits a power law in eps and needs "
+                          f"at least two scales, got {config.epsilons}")
+    if name in ("theorem1", "theorem2", "all") and \
+            not np.any(_tail_window(config, _synthesis_times(config))):
+        raise ConfigError(f"key 'time.t_max': '{name}' needs times from t* + 0.5 = "
+                          f"{config.t_star + 0.5:g} on, got t_max = {config.t_max:g}")
+    manifest = RunManifest(config.config_hash(), name, Path(out_dir))
+    manifest.out_dir.mkdir(parents=True, exist_ok=True)
+    with manifest.stage("total"):
+        COMMANDS[name](config, manifest)
+    logger.info("manifest written to %s (overall %s)", manifest.write(),
                 "PASS" if manifest.all_passed else "FAIL")
     return manifest
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import sys
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -54,16 +55,18 @@ class ScatteringScenario:
     n_phi: int = 40
 
     def content_hash(self) -> str:
-        """Digest of what a sweep's table depends on: the scenario, the
-        solver's discretization and gate constants, the sweep's node rule and
-        gate, and the table format."""
+        """Digest of what a sweep's table depends on: the scenario, every
+        module-level numeric UPPER_CASE constant of bem and of this module
+        (the solver's and the sweep's), and the table format."""
+        constants = sorted((f"{module.__name__}.{name}", value)
+                           for module in (bem, sys.modules[__name__])
+                           for name, value in vars(module).items()
+                           if name.isupper() and isinstance(value, (int, float))
+                           and not isinstance(value, bool))
         desc = (tuple(self.shape.center), self.shape.constant, self.shape.harmonics,
                 self.epsilon, self.pulse.r0, self.pulse.R0, self.pulse.k_reg,
                 self.pulse.amplitude, self.pulse.center, self.n_theta, self.n_phi,
-                bem.WINDOW_FACTOR, bem.WINDOW_CUTOFF, bem.N_GAMMA, bem.N_ALPHA,
-                bem.STENCIL_MARGIN, bem.RESIDUAL_TOL, bem.MIXED_CONDITION_LIMIT,
-                bem.REFINE_MAX_ITER, CONDITION_LIMIT, GL_PER_PANEL,
-                "frequency-table v1")
+                constants, "frequency-table v1")
         return hashlib.sha256(repr(desc).encode()).hexdigest()[:12]
 
 
@@ -147,16 +150,6 @@ class TimeSeries:
     times: np.ndarray            # (T,)
     values: np.ndarray           # (T, P) real
     scenario_hash: str = ""
-
-    @staticmethod
-    def from_complex(times, values, scenario_hash="") -> "TimeSeries":
-        values = np.asarray(values)
-        peak = float(np.max(np.abs(values))) if values.size else 0.0
-        residue = float(np.max(np.abs(values.imag))) if values.size else 0.0
-        if peak > 0 and residue > 1e-8 * peak:
-            raise ValueError(f"imaginary residue {residue:.2e} exceeds 1e-8 of peak {peak:.2e}")
-        return TimeSeries(times=np.asarray(times, float), values=values.real.copy(),
-                          scenario_hash=scenario_hash)
 
     def save_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -311,6 +304,7 @@ def inverse_transform(table: FrequencyTable, times) -> TimeSeries:
                             for k in range(n_per)], axis=1)       # (T, n_per)
         acc += np.exp(1j * c * times)[:, None] * (h * (moments @ coeffs))
 
-    # conjugate extension: the omega < 0 half contributes the exact conjugate
-    two_sided = 0.5 * (acc + np.conj(acc)) / math.pi
-    return TimeSeries.from_complex(times, two_sided, table.scenario_hash)
+    # conjugate extension: the omega < 0 half contributes the exact conjugate.
+    # The real part is taken after the complex division: acc.real / pi rounds
+    # differently in the last bit, and stored series would change with it
+    return TimeSeries(times, (acc / math.pi).real, table.scenario_hash)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from smallscat import bem, cli
-from smallscat.cli import RunManifest, cmd_capacitance, cmd_checks, main, run_command
+from smallscat.cli import RunManifest, cmd_capacitance, main, run_command
 from smallscat.config import (
     ConfigError, default_config, parse_config_file, parse_config_text,
 )
@@ -96,8 +96,8 @@ def test_missing_config_file():
 # -- commands -------------------------------------------------------------------
 def test_cmd_capacitance_default(tmp_path):
     cfg = default_config()
-    manifest = RunManifest(config_hash=cfg.config_hash(), command="capacitance")
-    results = cmd_capacitance(cfg, tmp_path, manifest)
+    manifest = RunManifest(cfg.config_hash(), "capacitance", tmp_path)
+    results = cmd_capacitance(cfg, manifest)
     assert abs(results[-1].c1 - 4 * math.pi) / (4 * math.pi) < 1e-4
     assert manifest.all_passed
     rows = (tmp_path / "capacitance.csv").read_text().strip().splitlines()
@@ -112,8 +112,8 @@ def test_capacitance_runtime_gates_on_cpu_time(tmp_path, monkeypatch):
     clock = itertools.count(0.0, 10.0)
     monkeypatch.setattr(time, "time", lambda: next(clock))
     cfg = default_config()
-    manifest = RunManifest(config_hash=cfg.config_hash(), command="capacitance")
-    cmd_capacitance(cfg, tmp_path, manifest)
+    manifest = RunManifest(cfg.config_hash(), "capacitance", tmp_path)
+    cmd_capacitance(cfg, manifest)
     check = next(c for c in manifest.checks if c.name == "capacitance_runtime")
     assert check.passed and "CPU" in check.detail
     rows = (tmp_path / "capacitance.csv").read_text().strip().splitlines()[2:]
@@ -121,14 +121,16 @@ def test_capacitance_runtime_gates_on_cpu_time(tmp_path, monkeypatch):
 
 
 def test_cmd_checks_default(tmp_path):
-    cfg = default_config()
-    manifest = RunManifest(config_hash=cfg.config_hash(), command="checks")
-    cmd_checks(cfg, tmp_path, manifest)
+    manifest = run_command("checks", default_config(), tmp_path)
     assert manifest.all_passed, [c for c in manifest.checks if not c.passed]
     body = (tmp_path / "checks.csv").read_text().strip().splitlines()
     assert body[0].startswith("# config=")
     assert body[1] == "check_name,slope,intercept,max_residual,pass"
     assert all(line.endswith(",pass") for line in body[2:])
+    text = (tmp_path / "MANIFEST").read_text()
+    stages = text.split("wall_clock_seconds:\n")[1].split("checks:\n")[0]
+    assert [line.split(":")[0].strip() for line in stages.splitlines()] == [
+        "check_dilation", "check_projection", "check_density", "check_kernel", "total"]
 
 
 def test_cmd_all_solves_each_capacitance_once(tmp_path, monkeypatch):
@@ -148,8 +150,8 @@ def test_cmd_all_solves_each_capacitance_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "cmd_synthesize", lambda *args: "prepared")
     theorem2 = {}
     monkeypatch.setattr(cli, "cmd_theorem2", lambda *args, **kwargs: theorem2.update(kwargs))
-    manifest = RunManifest(config_hash=cfg.config_hash(), command="all")
-    cli.cmd_all(cfg, tmp_path, manifest)
+    manifest = RunManifest(cfg.config_hash(), "all", tmp_path)
+    cli.cmd_all(cfg, manifest)
     assert calls == list(cli.CAPACITANCE_STUDY)
     assert theorem2["prepared"] == "prepared"
     assert theorem2["c1"] == results[-1].c1
@@ -205,6 +207,16 @@ def test_synthesize_recomputes_table_of_other_solver_constants(tmp_path, caplog,
     assert any("reusing table" in rec.message for rec in caplog.records)
 
 
+@pytest.mark.filterwarnings("ignore:frequency tail not resolved")
+def test_manifest_lists_every_file_written(tmp_path):
+    manifest = run_command("synthesize", parse_config_text(TINY_CONFIG), tmp_path)
+    text = (tmp_path / "MANIFEST").read_text()
+    written = sorted(p for p in tmp_path.iterdir() if p.name != "MANIFEST")
+    assert len(written) == 2
+    assert sorted(map(Path, manifest.files)) == written
+    assert all(f"  - {p}\n" in text for p in written)
+
+
 def test_manifest_lists_files_and_checks(tmp_path):
     cfg = parse_config_text(TINY_CONFIG)
     manifest = run_command("capacitance", cfg, tmp_path)
@@ -252,6 +264,24 @@ def test_degenerate_shell_rejected(tmp_path, capsys):
     cfg.write_text(TINY_CONFIG + "shell.r_ff = 2.5\nshell.R_ff = 2.5\n")
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "shell.R_ff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, text, key", [
+    # t* = R0 + R_ff = 6, so no time is left for the tail window t >= t* + 0.5
+    ("theorem1", "epsilons = 0.05, 0.1\ntime.t_max = 6.0\n", "time.t_max"),
+    ("theorem2", "epsilons = 0.05, 0.1\ntime.t_max = 6.0\n", "time.t_max"),
+    ("all", "epsilons = 0.05, 0.1\ntime.t_max = 6.0\n", "time.t_max"),
+    # one scale: no slope to fit
+    ("checks", "epsilons = 0.04\n", "epsilons"),
+    ("theorem1", "epsilons = 0.04\n", "epsilons"),
+    ("all", "epsilons = 0.04\n", "epsilons")])
+def test_unfittable_config_rejected_before_any_work(tmp_path, capsys, command, text, key):
+    cfg = tmp_path / "unfittable.cfg"
+    cfg.write_text(TINY_CONFIG + text)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not list(out.glob("freq_table_*.csv"))
 
 
 def test_pulse_center_outside_hole_rejected(tmp_path, capsys):
