@@ -34,8 +34,8 @@ from .config import ConfigError, ExperimentConfig, default_config, parse_config_
 from .geometry import StarShape, build_surface_grid, shell_quadrature
 from .metrics import ScalingFit, fit_power_law, shell_l2_norm_of_values
 from .sphere_oracle import SphereScenario, sphere_scattered_frequency, sphere_scattered_time
-from .synthesis import FrequencyTable, ScatteringScenario, build_frequency_grid, \
-    frequency_sweep, inverse_transform
+from .synthesis import FrequencyTable, ScatteringScenario, _new_file, \
+    build_frequency_grid, frequency_sweep, inverse_transform
 
 logger = logging.getLogger(__name__)
 
@@ -90,7 +90,7 @@ class RunManifest:
         """Write out_dir/name, floats as %.17g under a `# config=` line, and
         list it."""
         path = self.out_dir / name
-        with open(path, "w") as fh:
+        with _new_file(path) as fh:
             fh.write(f"# config={self.config_hash}\n")
             fh.write(header + "\n")
             for row in rows:
@@ -101,9 +101,9 @@ class RunManifest:
     @contextmanager
     def stage(self, name: str):
         """Record the wall time of the block as stage name."""
-        t0 = time.time()
+        t0 = time.perf_counter()
         yield
-        self.timings.append((name, time.time() - t0))
+        self.timings.append((name, time.perf_counter() - t0))
 
     def add_check(self, name: str, passed, detail: str) -> bool:
         """Record a verdict and return it."""
@@ -118,7 +118,7 @@ class RunManifest:
 
     def write(self) -> Path:
         path = self.out_dir / "MANIFEST"
-        with open(path, "w") as fh:
+        with _new_file(path) as fh:
             fh.write(f"config_hash: {self.config_hash}\n")
             fh.write(f"command: {self.command}\n")
             fh.write("files:\n")
@@ -150,9 +150,9 @@ def cmd_capacitance(config: ExperimentConfig, manifest: RunManifest):
     results = []
     for (nt, np_) in CAPACITANCE_STUDY:
         with manifest.stage(f"capacitance_{nt}x{np_}"):
-            t0, cpu0 = time.time(), time.process_time()
+            t0, cpu0 = time.perf_counter(), time.process_time()
             cap = bem.capacitance(config.shape, nt, np_)
-            dt, cpu = time.time() - t0, time.process_time() - cpu0
+            dt, cpu = time.perf_counter() - t0, time.process_time() - cpu0
         results.append(cap)
         rows.append([nt, np_, cap.c1, float(np.min(cap.sigma1)), float(np.max(cap.sigma1)), dt])
     # bumpy shapes are measured against their finest solve (self-convergence)

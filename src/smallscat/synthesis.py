@@ -27,6 +27,7 @@ import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.special import spherical_jn
@@ -106,7 +107,7 @@ class FrequencyTable:
         return len(self.panel_edges) - 1
 
     def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
+        with _new_file(path) as fh:
             fh.write(f"# scenario={self.scenario_hash}\n")
             fh.write(f"# points={_points_digest(self.points)}\n")
             fh.write(f"# panel_edges={','.join(f'{e:.17g}' for e in self.panel_edges)}\n")
@@ -120,14 +121,14 @@ class FrequencyTable:
         points = np.asarray(points, dtype=float)
         with open(path) as fh:
             scenario_hash = _header_value(fh.readline(), "scenario", path)
-            points_key = _header_value(fh.readline(), "points", path)
+            if _header_value(fh.readline(), "points", path) != _points_digest(points):
+                raise ValueError(f"{path}: stored observation points differ from the "
+                                 f"requested ones")
             edges_text = _header_value(fh.readline(), "panel_edges", path)
             fh.readline()
             with warnings.catch_warnings():     # a header-only file is rejected below
                 warnings.simplefilter("ignore", UserWarning)
                 data = np.loadtxt(fh, delimiter=",", ndmin=2).reshape(-1, 4)
-        if points_key != _points_digest(points):
-            raise ValueError(f"{path}: stored observation points differ from the requested ones")
         panel_edges = np.array([float(v) for v in edges_text.split(",")])
         p = points.shape[0]
         n = len(data) // p
@@ -152,10 +153,25 @@ class TimeSeries:
     scenario_hash: str = ""
 
     def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
+        with _new_file(path) as fh:
             fh.write(f"# scenario={self.scenario_hash}\n")
             fh.write("t,point_index,value\n")
             _write_blocks(fh, self.times, self.values, 1)
+
+
+def _new_file(path):
+    """path opened for writing as a new file: the old directory entry, if
+    any, is unlinked first, and a symlink is replaced rather than written
+    through.
+
+    Truncating a file the previous run wrote makes ext4 (auto_da_alloc)
+    flush it on close, and the next truncate waits for that writeback;
+    renaming over the file stalls the same way, a fresh inode does not.  A
+    write that is interrupted leaves no file or a partial one: load_csv
+    rejects a partial table, and the CLI's table cache re-sweeps it.
+    """
+    Path(path).unlink(missing_ok=True)
+    return open(path, "w")
 
 
 def _write_blocks(fh, keys, fields, per_point: int) -> None:

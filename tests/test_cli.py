@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import os
 import time
 from pathlib import Path
 
@@ -110,7 +111,7 @@ def test_capacitance_runtime_gates_on_cpu_time(tmp_path, monkeypatch):
     # a wall clock that jumps 10 s per reading, as on a host shared with
     # other jobs; the verdict reads CPU time, the CSV still records wall time
     clock = itertools.count(0.0, 10.0)
-    monkeypatch.setattr(time, "time", lambda: next(clock))
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
     cfg = default_config()
     manifest = RunManifest(cfg.config_hash(), "capacitance", tmp_path)
     cmd_capacitance(cfg, manifest)
@@ -215,6 +216,30 @@ def test_manifest_lists_every_file_written(tmp_path):
     assert len(written) == 2
     assert sorted(map(Path, manifest.files)) == written
     assert all(f"  - {p}\n" in text for p in written)
+
+
+def test_write_csv_replaces_the_file(tmp_path):
+    # a hard link holds the old inode: it keeps the old bytes only if the
+    # write creates a new file instead of truncating the old one
+    path = tmp_path / "rows.csv"
+    path.write_text("old rows, longer than the new ones\n")
+    os.link(path, tmp_path / "link.csv")
+    RunManifest("h", "capacitance", tmp_path).write_csv("rows.csv", "n,x", [[1, 0.1], [2, -0.0]])
+    assert (tmp_path / "link.csv").read_text() == "old rows, longer than the new ones\n"
+    assert path.read_bytes() == b"# config=h\nn,x\n1,0.10000000000000001\n2,-0\n"
+
+
+def test_manifest_write_replaces_the_file(tmp_path):
+    (tmp_path / "MANIFEST").write_text("old manifest\n")
+    os.link(tmp_path / "MANIFEST", tmp_path / "link")
+    manifest = RunManifest("h", "checks", tmp_path)
+    manifest.timings.append(("total", 1.234))
+    manifest.add_check("dilation_identity", True, "ok")
+    path = manifest.write()
+    assert (tmp_path / "link").read_text() == "old manifest\n"
+    assert path.read_bytes() == (b"config_hash: h\ncommand: checks\nfiles:\n"
+                                 b"wall_clock_seconds:\n  total: 1.23\n"
+                                 b"checks:\n  dilation_identity: PASS (ok)\noverall: PASS\n")
 
 
 def test_manifest_lists_files_and_checks(tmp_path):

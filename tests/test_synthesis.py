@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import logging
+import os
 import weakref
 
 import numpy as np
@@ -201,6 +202,53 @@ def test_block_writer_matches_row_writer(tmp_path):
     rows = [f"{t:.17g},{k},{v:.17g}\n"
             for t, row in zip(-omegas, values.real) for k, v in enumerate(row)]
     assert (tmp_path / "series.csv").read_text() == "# scenario=h\nt,point_index,value\n" + "".join(rows)
+
+
+def test_table_save_replaces_the_file(table, tmp_path):
+    # a hard link holds the old inode: it keeps the old bytes only if the
+    # save creates a new file instead of truncating the old one
+    path, link = tmp_path / "table.csv", tmp_path / "link.csv"
+    table.save_csv(path)
+    old = path.read_bytes()
+    os.link(path, link)
+    short = dataclasses.replace(table, omegas=table.omegas[:8], weights=table.weights[:8],
+                                panel_edges=table.panel_edges[:2], values=table.values[:8])
+    short.save_csv(path)
+    assert link.read_bytes() == old
+    short.save_csv(tmp_path / "fresh.csv")
+    assert path.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+    loaded = FrequencyTable.load_csv(path, table.points)
+    assert np.array_equal(loaded.omegas, short.omegas)
+    assert np.array_equal(loaded.values, short.values)
+
+
+def test_series_save_replaces_the_file(tmp_path):
+    series = TimeSeries(times=np.linspace(0.0, 1.0, 5),
+                        values=np.random.default_rng(3).normal(size=(5, 2)), scenario_hash="h")
+    path, link, target = tmp_path / "series.csv", tmp_path / "link.csv", tmp_path / "target.csv"
+    path.write_text("old series\n")
+    os.link(path, link)
+    target.write_text("old target\n")
+    (tmp_path / "symlink.csv").symlink_to(target)
+    series.save_csv(path)
+    series.save_csv(tmp_path / "symlink.csv")
+    series.save_csv(tmp_path / "fresh.csv")
+    assert link.read_text() == "old series\n"
+    assert target.read_text() == "old target\n"         # replaced, not written through
+    assert not (tmp_path / "symlink.csv").is_symlink()
+    fresh = (tmp_path / "fresh.csv").read_bytes()
+    assert path.read_bytes() == fresh == (tmp_path / "symlink.csv").read_bytes()
+
+
+def test_table_of_other_points_rejected_from_its_header(table, tmp_path):
+    # the points digest is compared before the body is parsed: a body that
+    # is not numbers at all still gets the points error
+    path = tmp_path / "table.csv"
+    table.save_csv(path)
+    head = path.read_text().splitlines(keepends=True)[:4]
+    path.write_text("".join(head) + "not,a,number,row\n")
+    with pytest.raises(ValueError, match="observation points differ"):
+        FrequencyTable.load_csv(path, table.points + 1.0)
 
 
 def test_truncated_table_is_rejected(table, tmp_path):
