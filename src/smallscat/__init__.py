@@ -6,8 +6,7 @@ from .asymptotic import PointScattererModel, apply_S_app, density_app, \
     point_scatterer_frequency, point_scatterer_time
 from .bem import CapacitanceResult, NearFieldEvaluationError, NearResonanceError, \
     SingleLayerMatrix, assemble_single_layer, boundary_projections, capacitance, \
-    evaluate_potential, exterior_field, scattered_frequency, solve_density, \
-    solve_density_with_diagnostics
+    evaluate_potential, exterior_field, scattered_frequency, solve_density_with_diagnostics
 from .config import ConfigError, ExperimentConfig, default_config, \
     parse_config_file, parse_config_text
 from .geometry import ShapeInvalidError, ShellRegion, StarShape, SurfaceGrid, \

@@ -40,12 +40,14 @@ estimate; imaginary-axis conditioning is surfaced, never regularized.  The
 LU is mixed-precision (the scheme of LAPACK's zcgesv): the matrix is
 factored in single precision, its condition estimated from those factors,
 and the solution refined against the double-precision matrix until its
-backward error is at double-precision level.  When the estimate exceeds
-MIXED_CONDITION_LIMIT, a decade below the sweep's condition gate, or
-refinement does not converge, the matrix is factored again in double
-precision, so every gate decision near its limit rests on double-precision
-factors.  A real matrix with complex data is solved in real arithmetic,
-with the real and imaginary parts as two right-hand sides.
+backward error is at double-precision level.  The single-precision factors
+are written over |A|, the float64 array its norms are taken from, so a
+solve makes no other N x N array for them and no caller holds scratch.
+When the estimate exceeds MIXED_CONDITION_LIMIT, a decade below the sweep's
+condition gate, or refinement does not converge, the matrix is factored
+again in double precision, so every gate decision near its limit rests on
+double-precision factors.  A real matrix with complex data is solved in
+real arithmetic, with the real and imaginary parts as two right-hand sides.
 
 Off-surface evaluation takes point-node distances from the Gram form
 |x|^2 + |y|^2 - 2 x.y (one BLAS product, clamped at 0) and the kernel in
@@ -97,9 +99,8 @@ class GridDegenerateError(ValueError):
 class NearResonanceError(RuntimeError):
     """Dense solve failed its residual check (likely near a resonance)."""
 
-    def __init__(self, message, s=None, condition_estimate=None):
+    def __init__(self, message, condition_estimate=None):
         super().__init__(message)
-        self.s = s
         self.condition_estimate = condition_estimate
 
 
@@ -346,7 +347,6 @@ class SingleLayerMatrix:
 
     matrix: np.ndarray
     s: complex
-    grid: SurfaceGrid
 
 
 @dataclass(frozen=True)
@@ -360,7 +360,7 @@ def assemble_single_layer(grid: SurfaceGrid, s: complex) -> SingleLayerMatrix:
     core = get_static_core(grid)
     s = complex(s)
     if s == 0:
-        return SingleLayerMatrix(matrix=core.matrix.copy(), s=s, grid=grid)
+        return SingleLayerMatrix(matrix=core.matrix.copy(), s=s)
     a, b = s.real, s.imag
     dist = core.distances
     # the remainder e^{-sd} - 1 = (1 + E)(C - iS) + E in real arithmetic
@@ -406,25 +406,7 @@ def assemble_single_layer(grid: SurfaceGrid, s: complex) -> SingleLayerMatrix:
     if s2.imag != 0.0:
         np.multiply(s2.imag, core.linear_correction, out=tmp)
         im += tmp
-    return SingleLayerMatrix(matrix=mat, s=s, grid=grid)
-
-
-def single_precision_workspace(n: int) -> np.ndarray:
-    """Array for the single-precision factors of one complex n x n matrix.
-
-    A caller that solves many complex systems of one size passes the same
-    workspace to each `solve_density_with_diagnostics` (each sweep thread
-    does, through `exterior_field`), so no solve allocates its factors.  A
-    fresh N x N array per node raised the sweep's peak RSS from about 145 to
-    185 MB at N = 800.
-    """
-    return np.empty((n, n), dtype=np.complex64)
-
-
-def _matrix_norms(A: np.ndarray):
-    """||A||_1 and ||A||_inf."""
-    absA = np.abs(A)
-    return float(absA.sum(axis=0).max()), float(absA.sum(axis=1).max())
+    return SingleLayerMatrix(matrix=mat, s=s)
 
 
 def _condition(gecon, lu, norm1: float) -> float:
@@ -462,14 +444,15 @@ def _refine(A, B, lu, piv, getrs, norm_inf: float):
     return None
 
 
-def _lu_solve_with_cond(A: np.ndarray, B: np.ndarray, work: np.ndarray | None = None):
+def _lu_solve_with_cond(A: np.ndarray, B: np.ndarray):
     """Solve A X = B (B of A's dtype, shape (N, k)) by mixed-precision LU.
 
     Returns X, the residual B - A X and the 1-norm condition estimate of A.
-    A is factored in single precision, in `work` when given, and X refined
-    to double-precision backward error (`_refine`).  The double-precision
-    LU is used instead when the single-precision estimate exceeds
-    MIXED_CONDITION_LIMIT or refinement does not converge, so every
+    A is factored in single precision, in the buffer of |A| that the norms
+    need anyway, so the solve makes no other N x N array for its factors,
+    and X is refined to double-precision backward error (`_refine`).  The
+    double-precision LU is used instead when the single-precision estimate
+    exceeds MIXED_CONDITION_LIMIT or refinement does not converge, so every
     condition gate near its limit is decided on double-precision factors.
     Both precisions factor the F-ordered view A.T (no transposing copy) and
     solve with trans=1.
@@ -478,9 +461,12 @@ def _lu_solve_with_cond(A: np.ndarray, B: np.ndarray, work: np.ndarray | None = 
     finds an exactly singular pivot.  No finiteness scan: the caller's
     residual check rejects whatever non-finite input produces.
     """
-    norm1, norm_inf = _matrix_norms(A)
-    if work is None:
-        work = np.empty(A.shape, dtype=np.complex64 if np.iscomplexobj(A) else np.float32)
+    absA = np.abs(A)
+    norm1, norm_inf = float(absA.sum(axis=0).max()), float(absA.sum(axis=1).max())
+    # |A|'s float64 words hold a complex64 copy of A, or a float32 one in
+    # their first half
+    single = np.complex64 if np.iscomplexobj(A) else np.float32
+    work = absA.reshape(-1).view(single)[:A.size].reshape(A.shape)
     np.copyto(work, A)
     getrf, getrs, gecon = sla.get_lapack_funcs(("getrf", "getrs", "gecon"), (work,))
     lu, piv, info = getrf(work.T, overwrite_a=True)
@@ -490,7 +476,7 @@ def _lu_solve_with_cond(A: np.ndarray, B: np.ndarray, work: np.ndarray | None = 
             refined = _refine(A, B, lu, piv, getrs, norm_inf)
             if refined is not None:
                 return (*refined, cond)
-    del lu, work            # a one-off single-precision copy is freed here
+    del lu, work, absA      # the single-precision factors are freed here
     getrf, getrs, gecon = sla.get_lapack_funcs(("getrf", "getrs", "gecon"), (A,))
     lu, piv, info = getrf(A.T)
     if info != 0:
@@ -501,18 +487,17 @@ def _lu_solve_with_cond(A: np.ndarray, B: np.ndarray, work: np.ndarray | None = 
     return X, B - A @ X, _condition(gecon, lu, norm1)
 
 
-def solve_density_with_diagnostics(mat: SingleLayerMatrix, rhs: np.ndarray,
-                                   work: np.ndarray | None = None):
+def solve_density_with_diagnostics(mat: SingleLayerMatrix, rhs: np.ndarray):
     """Direct dense solve with residual verification and condition estimate.
 
-    `work` is a `single_precision_workspace` of the grid's size for a
-    complex matrix; without it the solve allocates its own.  A real matrix
-    with complex data is solved in real arithmetic, with the real and
-    imaginary parts as two right-hand sides.
+    Returns the density lambda, with ||mat lambda - rhs|| <= RESIDUAL_TOL
+    ||rhs||, and its SolveDiagnostics.  A real matrix with complex data is
+    solved in real arithmetic, with the real and imaginary parts as two
+    right-hand sides.
     """
     rhs = np.asarray(rhs)
-    if rhs.shape != (mat.grid.n_nodes,):
-        raise ValueError(f"rhs length {rhs.shape} does not match grid ({mat.grid.n_nodes},)")
+    if rhs.shape != mat.matrix.shape[:1]:
+        raise ValueError(f"rhs length {rhs.shape} does not match grid {mat.matrix.shape[:1]}")
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), SolveDiagnostics(residual=0.0, condition_estimate=0.0)
@@ -520,23 +505,17 @@ def solve_density_with_diagnostics(mat: SingleLayerMatrix, rhs: np.ndarray,
     split = np.isrealobj(A) and np.iscomplexobj(rhs)
     B = np.stack([rhs.real, rhs.imag], axis=1) if split else rhs[:, None].astype(A.dtype)
     try:
-        X, R, cond = _lu_solve_with_cond(A, B, work)
+        X, R, cond = _lu_solve_with_cond(A, B)
     except np.linalg.LinAlgError as exc:
-        raise NearResonanceError(f"factorization breakdown at s={mat.s}", s=mat.s) from exc
+        raise NearResonanceError(f"factorization breakdown at s={mat.s}") from exc
     x = X[:, 0] + 1j * X[:, 1] if split else X[:, 0]
     residual = float(np.linalg.norm(R) / rhs_norm)
     if not np.isfinite(residual) or residual > RESIDUAL_TOL:
         raise NearResonanceError(
             f"solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} at s={mat.s} "
-            f"(condition estimate {cond:.3e})", s=mat.s, condition_estimate=cond)
+            f"(condition estimate {cond:.3e})", condition_estimate=cond)
     logger.debug("solve s=%s residual=%.3e cond=%.3e", mat.s, residual, cond)
     return x, SolveDiagnostics(residual=residual, condition_estimate=cond)
-
-
-def solve_density(mat: SingleLayerMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Boundary density lambda with ||mat lambda - rhs|| <= 1e-10 ||rhs||."""
-    x, _ = solve_density_with_diagnostics(mat, rhs)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +547,9 @@ def capacitance(shape: StarShape, n_theta: int = 24, n_phi: int = 48) -> Capacit
 
 def _equilibrium_density(grid: SurfaceGrid) -> np.ndarray:
     """Density sigma with S0 sigma = 1 on the grid."""
-    return solve_density(assemble_single_layer(grid, 0.0), np.ones(grid.n_nodes))
+    sigma, _ = solve_density_with_diagnostics(assemble_single_layer(grid, 0.0),
+                                              np.ones(grid.n_nodes))
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -610,17 +591,15 @@ def evaluate_potential(grid: SurfaceGrid, density: np.ndarray, s: complex,
     return kern @ (grid.weights * density)
 
 
-def exterior_field(grid: SurfaceGrid, s: complex, data: np.ndarray, points: np.ndarray,
-                   work: np.ndarray | None = None):
+def exterior_field(grid: SurfaceGrid, s: complex, data: np.ndarray, points: np.ndarray):
     """Exterior Dirichlet field at frequency s: the single-layer density with
     trace `data` on the grid nodes, radiated to the off-surface points.
 
-    Returns (values, SolveDiagnostics).  `work` is passed on to
-    `solve_density_with_diagnostics`.  Defined for any complex s off the
+    Returns (values, SolveDiagnostics).  Defined for any complex s off the
     discrete resonance set (Re s > 0 always safe).
     """
     mat = assemble_single_layer(grid, s)
-    density, diag = solve_density_with_diagnostics(mat, data, work=work)
+    density, diag = solve_density_with_diagnostics(mat, data)
     return evaluate_potential(grid, density, s, points), diag
 
 

@@ -270,14 +270,12 @@ def cmd_sweep(config: ExperimentConfig, manifest: RunManifest) -> dict:
         scenario = ScatteringScenario(config.shape, eps, config.pulse,
                                       n_theta=config.n_theta, n_phi=config.n_phi)
         path = manifest.out_dir / f"freq_table_eps{eps:g}.csv"
-        cached = _cached_table(path, pts, scenario, len(nodes), edges)
-        if cached is not None:
-            tables[eps] = cached
-            continue
-        with manifest.stage(f"sweep_eps_{eps:g}"):
-            table = frequency_sweep(scenario, pts, config.omega_max, config.n_omega,
-                                    workers=config.workers)
-        table.save_csv(path)
+        table = _cached_table(path, pts, scenario, len(nodes), edges)
+        if table is None:
+            with manifest.stage(f"sweep_eps_{eps:g}"):
+                table = frequency_sweep(scenario, pts, config.omega_max, config.n_omega,
+                                        workers=config.workers)
+            table.save_csv(path)
         manifest.add_file(path)
         tables[eps] = table
     return tables

@@ -16,7 +16,7 @@ import numpy as np
 
 from .asymptotic import apply_S_app, density_app
 from .bem import _equilibrium_density, assemble_single_layer, boundary_projections, \
-    capacitance, dilate, evaluate_potential, exterior_field, solve_density
+    capacitance, dilate, evaluate_potential, exterior_field, solve_density_with_diagnostics
 from .geometry import ShellRegion, StarShape, build_surface_grid, shell_quadrature
 from .incident import ShellPulse, incident_trace
 
@@ -114,7 +114,7 @@ def check_density_expansion(shape: StarShape, pulse: ShellPulse, s: complex,
     for eps in eps_list:
         grid = dilate(unit, eps)
         trace = incident_trace(pulse, s, grid)
-        lam = solve_density(assemble_single_layer(grid, s), -trace)
+        lam, _ = solve_density_with_diagnostics(assemble_single_layer(grid, s), -trace)
         lam_app = density_app(grid, pulse, s, sigma1)
         num = np.sqrt(np.sum(grid.weights * np.abs(lam - lam_app) ** 2))
         den = np.sqrt(np.sum(grid.weights * np.abs(lam) ** 2))

@@ -23,7 +23,6 @@ import hashlib
 import logging
 import math
 import sys
-import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -33,8 +32,7 @@ import numpy as np
 from scipy.special import spherical_jn
 
 from . import bem
-from .bem import NearResonanceError, exterior_field, get_static_core, \
-    single_precision_workspace
+from .bem import NearResonanceError, exterior_field, get_static_core
 from .geometry import StarShape, build_surface_grid, gauss_legendre
 from .incident import ShellPulse, incident_trace
 
@@ -225,14 +223,17 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
                     workers: int = 1) -> FrequencyTable:
     """Sample u_hat_sc(i omega, x) on the composite frequency grid.
 
-    One dense solve per node; `workers` nodes are solved at once on threads
-    (numpy and LAPACK release the GIL), and the results come back in node
-    order whatever the worker count.  If a solve reports a condition blowup
-    or fails its residual check, the node is retried (logged) three quarters
-    of the way to the edge of its cell, first on the roomier side, which
-    faces the panel centre, then on the other.  Cells are disjoint and lie
-    inside the panels, so a moved node stays inside its panel and between
-    its neighbours.  A node that fails all three tries raises
+    One dense solve per node; `workers` nodes are solved at once on pool
+    threads (numpy and LAPACK release the GIL), one worker's on the calling
+    thread, and the results come back in node order whatever the worker
+    count.  The threads share the grid and its static core and nothing else:
+    each solve factors in memory of its own (`bem._lu_solve_with_cond`).
+    If a solve's condition estimate exceeds CONDITION_LIMIT or the solve
+    fails its residual check, the node is retried (logged) three quarters of
+    the way to the edge of its cell, first on the roomier side, which faces
+    the panel centre, then on the other.  Cells are disjoint and lie inside
+    the panels, so a moved node stays inside its panel and between its
+    neighbours.  A node that fails all three tries raises
     NearResonanceError, and the nodes not yet started are cancelled.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -243,13 +244,7 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
     # symmetry the midpoint across two panels is their common edge
     cells = np.concatenate([edges[:1], 0.5 * (nodes[1:] + nodes[:-1]), edges[-1:]])
 
-    # one single-precision workspace per pool thread, reused by its nodes
-    # (bem.single_precision_workspace)
-    scratch = threading.local()
-
     def solve(j: int):
-        if not hasattr(scratch, "work"):
-            scratch.work = single_precision_workspace(grid.n_nodes)
         omega, lo, hi = float(nodes[j]), float(cells[j]), float(cells[j + 1])
         near, far = sorted((lo, hi), key=lambda edge: abs(edge - omega))
         tries = (omega, omega + 0.75 * (far - omega), omega + 0.75 * (near - omega))
@@ -257,24 +252,30 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
             s = 1j * om
             try:
                 values, diag = exterior_field(grid, s, -incident_trace(scenario.pulse, s, grid),
-                                              points, work=scratch.work)
-                if diag.condition_estimate > CONDITION_LIMIT:
-                    raise NearResonanceError(
-                        f"condition estimate {diag.condition_estimate:.3e} above limit",
-                        s=s, condition_estimate=diag.condition_estimate)
-                return om, values, diag.condition_estimate
+                                              points)
             except NearResonanceError as exc:
                 # the message only: a kept record must not pin the grid
                 # through the exception's traceback
                 logger.warning("sweep node omega=%.6f near-resonant (%s)", om, str(exc))
+                continue
+            if diag.condition_estimate > CONDITION_LIMIT:
+                logger.warning("sweep node omega=%.6f near-resonant (condition estimate "
+                               "%.3e above limit)", om, diag.condition_estimate)
+                continue
+            return om, values, diag.condition_estimate
         raise NearResonanceError(f"sweep node omega={omega} failed at all of {tries}")
 
-    with ThreadPoolExecutor(workers) as pool:
-        # the static core is built once, before any node starts, on a pool
-        # thread: each thread allocates from its own malloc arena, and there
-        # the nodes reuse what the core's temporaries freed
-        pool.submit(get_static_core, grid).result()
-        used, rows, conds = zip(*pool.map(solve, range(len(nodes))))
+    # the static core is built once, before any node starts.  One worker is
+    # the calling thread: glibc returns a pool thread's malloc arena to the
+    # system only once its free top reaches twice the mmap threshold, so a
+    # one-thread pool kept each sweep's freed node matrices beside the
+    # caller's heap
+    get_static_core(grid)
+    if workers == 1:
+        used, rows, conds = zip(*map(solve, range(len(nodes))))
+    else:
+        with ThreadPoolExecutor(workers) as pool:
+            used, rows, conds = zip(*pool.map(solve, range(len(nodes))))
     omegas = np.array(used)
     values = np.array(rows)
     logger.info("sweep eps=%.3g: %d nodes, worst condition estimate %.3e",

@@ -218,6 +218,21 @@ def test_manifest_lists_every_file_written(tmp_path):
     assert all(f"  - {p}\n" in text for p in written)
 
 
+@pytest.mark.filterwarnings("ignore:frequency tail not resolved")
+def test_manifest_lists_reused_tables(tmp_path):
+    # a second run into the same directory reads its tables from disk; its
+    # record still names every table its time series came from
+    cfg = parse_config_text(TINY_CONFIG.replace("epsilons = 0.1", "epsilons = 0.1, 0.2"))
+    run_command("synthesize", cfg, tmp_path)
+    manifest = run_command("synthesize", cfg, tmp_path)
+    assert not any(name.startswith("sweep_eps") for name, _ in manifest.timings)
+    tables = sorted(tmp_path.glob("freq_table_eps*.csv"))
+    assert len(tables) == 2
+    assert sorted(map(Path, manifest.files)) == sorted(tables + list(tmp_path.glob("timeseries_*")))
+    text = (tmp_path / "MANIFEST").read_text()
+    assert all(f"  - {p}\n" in text for p in tables)
+
+
 def test_write_csv_replaces_the_file(tmp_path):
     # a hard link holds the old inode: it keeps the old bytes only if the
     # write creates a new file instead of truncating the old one

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import logging
 import os
+import threading
 import weakref
 
 import numpy as np
@@ -341,19 +342,26 @@ def test_inversion_fits_the_nodes_used(oracle):
 
 
 @pytest.mark.filterwarnings("ignore:frequency tail not resolved")
-@pytest.mark.parametrize("failures", [1, 2])
-def test_nudged_node_stays_in_its_cell(pulse, point, monkeypatch, failures):
-    # the last node of panel 0 fails its first solves: it is retried three
-    # quarters of the way to its cell's edge, toward the panel centre first
-    # and then toward the panel edge
+@pytest.mark.parametrize("failures, mode", [
+    (1, "raised"), (2, "raised"), (1, "condition"), (2, "condition")],
+    ids=["1", "2", "condition-1", "condition-2"])
+def test_nudged_node_stays_in_its_cell(pulse, point, monkeypatch, failures, mode):
+    # the last node of panel 0 fails its first solves, by a raised
+    # NearResonanceError or by a condition estimate over the sweep's gate:
+    # either way it is retried three quarters of the way to its cell's edge,
+    # toward the panel centre first and then toward the panel edge
     real_solve = bem.solve_density_with_diagnostics
     calls = []
 
-    def flaky_solve(mat, rhs, **kwargs):
+    def flaky_solve(mat, rhs):
         calls.append(None)
-        if 8 <= len(calls) < 8 + failures:
+        failing = 8 <= len(calls) < 8 + failures
+        if failing and mode == "raised":
             raise NearResonanceError("injected failure")
-        return real_solve(mat, rhs, **kwargs)
+        x, diag = real_solve(mat, rhs)
+        if failing:
+            diag = dataclasses.replace(diag, condition_estimate=2.0 * synthesis.CONDITION_LIMIT)
+        return x, diag
 
     monkeypatch.setattr(bem, "solve_density_with_diagnostics", flaky_solve)
     scn = ScatteringScenario(StarShape.sphere(), 0.1, pulse, n_theta=8, n_phi=16)
@@ -374,6 +382,25 @@ def test_worker_count_invariance(pulse, point):
     t2 = frequency_sweep(scn, point, omega_max=10.0, n_omega=24, workers=2)
     assert np.array_equal(t1.values, t2.values)
     assert np.array_equal(t1.omegas, t2.omegas)
+
+
+@pytest.mark.filterwarnings("ignore:frequency tail not resolved")
+def test_one_worker_sweeps_on_the_calling_thread(pulse, point, monkeypatch):
+    # no pool thread, and so no second malloc arena, for a one-worker sweep
+    real_solve = bem.solve_density_with_diagnostics
+    threads = set()
+
+    def recording_solve(mat, rhs):
+        threads.add(threading.get_ident())
+        return real_solve(mat, rhs)
+
+    monkeypatch.setattr(bem, "solve_density_with_diagnostics", recording_solve)
+    scn = ScatteringScenario(StarShape.sphere(), 0.1, pulse, n_theta=8, n_phi=16)
+    frequency_sweep(scn, point, omega_max=10.0, n_omega=8, workers=1)
+    assert threads == {threading.get_ident()}
+    threads.clear()
+    frequency_sweep(scn, point, omega_max=10.0, n_omega=8, workers=2)
+    assert threading.get_ident() not in threads
 
 
 def test_tail_warning_when_underresolved(pulse, point):
@@ -414,9 +441,9 @@ def test_failed_node_cancels_pending_nodes(pulse, point, monkeypatch):
     real_solve = bem.solve_density_with_diagnostics
     calls = []
 
-    def counting_solve(mat, rhs, **kwargs):
+    def counting_solve(mat, rhs):
         calls.append(None)
-        return real_solve(mat, rhs, **kwargs)
+        return real_solve(mat, rhs)
 
     monkeypatch.setattr(bem, "solve_density_with_diagnostics", counting_solve)
     monkeypatch.setattr(synthesis, "CONDITION_LIMIT", 0.0)
