@@ -44,10 +44,11 @@ backward error is at double-precision level.  The single-precision factors
 are written over |A|, the float64 array its norms are taken from, so a
 solve makes no other N x N array for them and no caller holds scratch.
 When the estimate exceeds MIXED_CONDITION_LIMIT, a decade below the sweep's
-condition gate, or refinement does not converge, the matrix is factored
-again in double precision, so every gate decision near its limit rests on
-double-precision factors.  A real matrix with complex data is solved in
-real arithmetic, with the real and imaginary parts as two right-hand sides.
+condition gate CONDITION_LIMIT, or refinement does not converge, the matrix
+is factored again in double precision, so every gate decision near its
+limit rests on double-precision factors.  A real matrix with complex data
+is solved in real arithmetic, with the real and imaginary parts as two
+right-hand sides.
 
 Off-surface evaluation takes point-node distances from the Gram form
 |x|^2 + |y|^2 - 2 x.y (one BLAS product, clamped at 0) and the kernel in
@@ -83,11 +84,11 @@ N_ALPHA = 16
 STENCIL_MARGIN = 2
 
 RESIDUAL_TOL = 1e-10
-# Mixed-precision solve: the single-precision LU serves while its condition
-# estimate stays a decade below the sweep's gate (synthesis.CONDITION_LIMIT),
-# with at most LAPACK's ITERMAX refinement steps; otherwise the
-# double-precision LU decides.
-MIXED_CONDITION_LIMIT = 1e5
+# the sweep's condition gate.  The single-precision LU serves while its
+# condition estimate stays a decade below it, with at most LAPACK's ITERMAX
+# refinement steps; otherwise the double-precision LU decides.
+CONDITION_LIMIT = 1e6
+MIXED_CONDITION_LIMIT = CONDITION_LIMIT / 10
 REFINE_MAX_ITER = 30
 NEAR_FIELD_FACTOR = 2.0
 
@@ -605,13 +606,11 @@ def exterior_field(grid: SurfaceGrid, s: complex, data: np.ndarray, points: np.n
 
 def scattered_frequency(shape: StarShape, epsilon: float, pulse: ShellPulse,
                         s: complex, points: np.ndarray, *,
-                        n_theta: int = 20, n_phi: int = 40,
-                        grid: SurfaceGrid | None = None) -> np.ndarray:
-    """Laplace-domain scattered field u_hat_sc(s, x) at the given points:
-    the exterior field of the negated incident trace (sound-soft condition).
+                        n_theta: int = 20, n_phi: int = 40) -> np.ndarray:
+    """Laplace-domain scattered field u_hat_sc(s, x) at the given points, on
+    a fresh grid: the exterior field of the negated incident trace (sound-soft).
     """
-    if grid is None:
-        grid = build_surface_grid(shape, epsilon, n_theta, n_phi)
+    grid = build_surface_grid(shape, epsilon, n_theta, n_phi)
     values, _ = exterior_field(grid, s, -incident_trace(pulse, s, grid), points)
     return values
 

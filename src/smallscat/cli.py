@@ -32,10 +32,11 @@ from . import bem, metrics
 from .asymptotic import PointScattererModel, point_scatterer_time
 from .config import ConfigError, ExperimentConfig, default_config, parse_config_file
 from .geometry import StarShape, build_surface_grid, shell_quadrature
+from .incident import incident_trace
 from .metrics import ScalingFit, fit_power_law, shell_l2_norm_of_values
 from .sphere_oracle import SphereScenario, sphere_scattered_frequency, sphere_scattered_time
-from .synthesis import FrequencyTable, ScatteringScenario, _new_file, \
-    build_frequency_grid, frequency_sweep, inverse_transform
+from .synthesis import FrequencyTable, ScatteringScenario, _new_file, frequency_sweep, \
+    inverse_transform
 
 logger = logging.getLogger(__name__)
 
@@ -185,8 +186,6 @@ def cmd_capacitance(config: ExperimentConfig, manifest: RunManifest):
 # ---------------------------------------------------------------------------
 def cmd_oracle_compare(config: ExperimentConfig, manifest: RunManifest):
     pulse = config.pulse
-    if pulse.origin_distance != 0.0:
-        raise ConfigError("oracle-compare requires an origin-centered pulse")
     scn = SphereScenario(ORACLE_EPS, pulse)
     shape = StarShape.sphere()
     point = np.array([[ORACLE_RADIUS, 0.0, 0.0]])
@@ -195,7 +194,8 @@ def cmd_oracle_compare(config: ExperimentConfig, manifest: RunManifest):
     for (nt, np_) in ORACLE_RESOLUTIONS:
         grid = build_surface_grid(shape, ORACLE_EPS, nt, np_)
         for s in ORACLE_FREQUENCIES:
-            val = bem.scattered_frequency(shape, ORACLE_EPS, pulse, s, point, grid=grid)[0]
+            values, _ = bem.exterior_field(grid, s, -incident_trace(pulse, s, grid), point)
+            val = values[0]
             ref = sphere_scattered_frequency(scn, s, ORACLE_RADIUS)
             rel = abs(val - ref) / abs(ref)
             rows.append([nt, np_, complex(s).imag, val.real, val.imag, ref.real, ref.imag, rel])
@@ -239,10 +239,8 @@ def _tail_window(config: ExperimentConfig, times: np.ndarray) -> np.ndarray:
     return times >= config.t_star + 0.5
 
 
-def _cached_table(path: Path, points: np.ndarray, scenario: ScatteringScenario,
-                  n_nodes: int, edges: np.ndarray) -> FrequencyTable | None:
-    """The table stored at path, if it was built for this scenario, these
-    observation points and this frequency grid."""
+def _cached_table(path: Path, points: np.ndarray, key: str) -> FrequencyTable | None:
+    """The table stored at path for these observation points, if its key is key."""
     if not path.exists():
         return None
     try:
@@ -250,27 +248,23 @@ def _cached_table(path: Path, points: np.ndarray, scenario: ScatteringScenario,
     except ValueError as exc:
         logger.info("stale table %s (%s); recomputing", path.name, exc)
         return None
-    if cached.scenario_hash != scenario.content_hash():
-        logger.info("stale table %s: scenario hash mismatch, recomputing", path.name)
+    if cached.scenario_hash != key:
+        logger.info("stale table %s: key mismatch (stored %s, expected %s), recomputing",
+                    path.name, cached.scenario_hash, key)
         return None
-    if len(cached.omegas) != n_nodes or not np.array_equal(cached.panel_edges, edges):
-        logger.info("stale table %s: frequency grid mismatch, recomputing", path.name)
-        return None
-    logger.info("reusing table %s (scenario %s)", path.name, cached.scenario_hash)
+    logger.info("reusing table %s (scenario %s)", path.name, key)
     return cached
 
 
 def cmd_sweep(config: ExperimentConfig, manifest: RunManifest) -> dict:
-    """One frequency table per scale; reuses an on-disk table built for the
-    same scenario and frequency grid."""
+    """One frequency table per scale; reuses an on-disk table of the same key."""
     pts, _ = _observation_rule(config)
-    nodes, _, edges = build_frequency_grid(config.omega_max, config.n_omega)
     tables = {}
     for eps in config.epsilons:
         scenario = ScatteringScenario(config.shape, eps, config.pulse,
                                       n_theta=config.n_theta, n_phi=config.n_phi)
         path = manifest.out_dir / f"freq_table_eps{eps:g}.csv"
-        table = _cached_table(path, pts, scenario, len(nodes), edges)
+        table = _cached_table(path, pts, scenario.content_hash(config.omega_max, config.n_omega))
         if table is None:
             with manifest.stage(f"sweep_eps_{eps:g}"):
                 table = frequency_sweep(scenario, pts, config.omega_max, config.n_omega,
@@ -418,6 +412,8 @@ def run_command(name: str, config: ExperimentConfig, out_dir) -> RunManifest:
             not np.any(_tail_window(config, _synthesis_times(config))):
         raise ConfigError(f"key 'time.t_max': '{name}' needs times from t* + 0.5 = "
                           f"{config.t_star + 0.5:g} on, got t_max = {config.t_max:g}")
+    if name in ("oracle-compare", "all") and config.pulse.origin_distance != 0.0:
+        raise ConfigError(f"key 'pulse.center': '{name}' needs an origin-centred pulse")
     manifest = RunManifest(config.config_hash(), name, Path(out_dir))
     manifest.out_dir.mkdir(parents=True, exist_ok=True)
     with manifest.stage("total"):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .geometry import ShellRegion, StarShape
 from .incident import ShellPulse
@@ -83,7 +83,6 @@ class ExperimentConfig:
     n_phi: int
     output_dir: str
     workers: int
-    raw: tuple[tuple[str, str], ...] = field(default=(), repr=False)
 
     @property
     def t_star(self) -> float:
@@ -91,8 +90,13 @@ class ExperimentConfig:
         return self.pulse.R0 + self.shell.outer
 
     def config_hash(self) -> str:
-        canonical = "\n".join(f"{k} = {v}" for k, v in sorted(self.raw))
-        return hashlib.sha256(canonical.encode()).hexdigest()[:12]
+        """Key of the run's outputs: every parsed value, floats by exact repr,
+        except output_dir and workers, which say only where the outputs go and
+        how fast they are made (tables are bit-identical at any worker count)."""
+        desc = (tuple(self.shape.center), self.shape.constant, self.shape.harmonics,
+                self.pulse, self.epsilons, self.shell, self.omega_max, self.n_omega,
+                self.t_max, self.n_t, self.t0, self.n_theta, self.n_phi)
+        return hashlib.sha256(repr(desc).encode()).hexdigest()[:12]
 
 
 def _parse_floats(text: str, key: str) -> list[float]:
@@ -202,13 +206,12 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if fnum("freq.omega_max") <= 0 or fnum("time.t_max") <= 0:
         raise ConfigError("freq.omega_max and time.t_max must be positive")
 
-    raw = tuple(sorted(values.items()))
     return ExperimentConfig(
         shape=shape, pulse=pulse, epsilons=epsilons, shell=shell,
         omega_max=fnum("freq.omega_max"), n_omega=inum("freq.n_omega"),
         t_max=fnum("time.t_max"), n_t=inum("time.n_t"), t0=fnum("time.t0"),
         n_theta=inum("bem.n_theta"), n_phi=inum("bem.n_phi"),
-        output_dir=values["output_dir"], workers=inum("workers"), raw=raw,
+        output_dir=values["output_dir"], workers=inum("workers"),
     )
 
 

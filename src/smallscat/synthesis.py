@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
-import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -39,8 +38,14 @@ from .incident import ShellPulse, incident_trace
 logger = logging.getLogger(__name__)
 
 GL_PER_PANEL = 8
-CONDITION_LIMIT = 1e6
 TAIL_WARN_RATIO = 1e-4
+
+
+# name and sha256 of every *.py file of the package, read once at import so
+# that each table is keyed on the code this process runs
+_SOURCE_DIGEST = hashlib.sha256(repr([
+    (path.name, hashlib.sha256(path.read_bytes()).hexdigest())
+    for path in sorted(Path(__file__).parent.glob("*.py"))]).encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -53,19 +58,15 @@ class ScatteringScenario:
     n_theta: int = 20
     n_phi: int = 40
 
-    def content_hash(self) -> str:
-        """Digest of what a sweep's table depends on: the scenario, every
-        module-level numeric UPPER_CASE constant of bem and of this module
-        (the solver's and the sweep's), and the table format."""
-        constants = sorted((f"{module.__name__}.{name}", value)
-                           for module in (bem, sys.modules[__name__])
-                           for name, value in vars(module).items()
-                           if name.isupper() and isinstance(value, (int, float))
-                           and not isinstance(value, bool))
+    def content_hash(self, omega_max: float, n_omega: int) -> str:
+        """Key of this scenario's table on the grid of
+        build_frequency_grid(omega_max, n_omega): the scenario's fields, the
+        grid's panel edges and node count, and the package source digest."""
+        nodes, _, edges = build_frequency_grid(omega_max, n_omega)
         desc = (tuple(self.shape.center), self.shape.constant, self.shape.harmonics,
                 self.epsilon, self.pulse.r0, self.pulse.R0, self.pulse.k_reg,
                 self.pulse.amplitude, self.pulse.center, self.n_theta, self.n_phi,
-                constants, "frequency-table v1")
+                tuple(edges.tolist()), len(nodes), _SOURCE_DIGEST)
         return hashlib.sha256(repr(desc).encode()).hexdigest()[:12]
 
 
@@ -228,7 +229,7 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
     thread, and the results come back in node order whatever the worker
     count.  The threads share the grid and its static core and nothing else:
     each solve factors in memory of its own (`bem._lu_solve_with_cond`).
-    If a solve's condition estimate exceeds CONDITION_LIMIT or the solve
+    If a solve's condition estimate exceeds bem.CONDITION_LIMIT or the solve
     fails its residual check, the node is retried (logged) three quarters of
     the way to the edge of its cell, first on the roomier side, which faces
     the panel centre, then on the other.  Cells are disjoint and lie inside
@@ -258,7 +259,7 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
                 # through the exception's traceback
                 logger.warning("sweep node omega=%.6f near-resonant (%s)", om, str(exc))
                 continue
-            if diag.condition_estimate > CONDITION_LIMIT:
+            if diag.condition_estimate > bem.CONDITION_LIMIT:
                 logger.warning("sweep node omega=%.6f near-resonant (condition estimate "
                                "%.3e above limit)", om, diag.condition_estimate)
                 continue
@@ -290,7 +291,7 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
 
     return FrequencyTable(omegas=omegas, weights=weights, panel_edges=edges,
                           points=points, values=values,
-                          scenario_hash=scenario.content_hash())
+                          scenario_hash=scenario.content_hash(omega_max, n_omega))
 
 
 # -- inversion ---------------------------------------------------------------

@@ -1,6 +1,10 @@
+import hashlib
+import os
+
 import numpy as np
 import pytest
 
+from smallscat import synthesis
 from smallscat.geometry import StarShape
 from smallscat.incident import ShellPulse, incident_time
 
@@ -18,6 +22,28 @@ def sphere():
 @pytest.fixture(scope="session")
 def bumpy():
     return StarShape.bumpy_sphere()
+
+
+@pytest.fixture(scope="session")
+def package_digest():
+    """digest(edit=None): the source digest of the smallscat package,
+    computed here over its directory, independently of synthesis; edit =
+    (file name, old bytes, new bytes) replaces old with new in that file
+    first, as an edit of the source would."""
+    directory = os.path.dirname(synthesis.__file__)
+
+    def digest(edit=None):
+        entries = []
+        for name in sorted(n for n in os.listdir(directory) if n.endswith(".py")):
+            with open(os.path.join(directory, name), "rb") as fh:
+                data = fh.read()
+            if edit is not None and edit[0] == name:
+                assert edit[1] in data
+                data = data.replace(edit[1], edit[2], 1)
+            entries.append((name, hashlib.sha256(data).hexdigest()))
+        return hashlib.sha256(repr(entries).encode()).hexdigest()
+
+    return digest
 
 
 def piecewise_laplace(time_fn, s, breakpoints, n_gl=30):

@@ -22,7 +22,7 @@ from smallscat import bem, metrics
 from smallscat.asymptotic import PointScattererModel, point_scatterer_time
 from smallscat.config import default_config
 from smallscat.geometry import StarShape, build_surface_grid, shell_quadrature
-from smallscat.incident import incident_laplace, incident_time
+from smallscat.incident import incident_laplace, incident_time, incident_trace
 from smallscat.metrics import fit_power_law
 from smallscat.sphere_oracle import (
     SphereScenario, sphere_scattered_frequency, sphere_scattered_time,
@@ -103,7 +103,7 @@ def test_criterion_02_frequency_oracle(pulse):
     point = np.array([[2.5, 0.0, 0.0]])
     worst = 0.0
     for s in (0.0, 1j, 4j):
-        val = bem.scattered_frequency(StarShape.sphere(), eps, pulse, s, point, grid=grid)[0]
+        val = bem.exterior_field(grid, s, -incident_trace(pulse, s, grid), point)[0][0]
         ref = sphere_scattered_frequency(scn, s, 2.5)
         worst = max(worst, abs(val - ref) / abs(ref))
     ok = worst < 1e-4

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smallscat import bem, cli
+from smallscat import bem, cli, synthesis
 from smallscat.cli import RunManifest, cmd_capacitance, main, run_command
 from smallscat.config import (
     ConfigError, default_config, parse_config_file, parse_config_text,
@@ -87,6 +87,30 @@ def test_config_hash_stable_under_reserialization():
     assert a.config_hash() == b.config_hash()
     c = parse_config_text("bem.n_theta = 24\n")
     assert c.config_hash() != a.config_hash()
+
+
+def test_config_hash_keys_parsed_values():
+    # a number keys the run by its value, not by how the file spells it
+    assert parse_config_text("shape.radius = 1\n").config_hash() == \
+        parse_config_text("shape.radius = 1.0\n").config_hash()
+    assert parse_config_text("time.t0 = 5.0\n").config_hash() != \
+        default_config().config_hash()
+
+
+def test_config_hash_ignores_where_and_how_fast(tmp_path):
+    # workers and output_dir set in the file or on the command line stamp
+    # the same `# config=` line, and so does a run with neither set
+    lines = []
+    for extra, args in (
+            (f"workers = 2\noutput_dir = {tmp_path / 'a'}\n", []),
+            ("", ["--workers", "2", "--out", str(tmp_path / "b")]),
+            ("", ["--out", str(tmp_path / "c")])):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(extra)
+        assert main(["capacitance", "--config", str(cfg)] + args) == 0
+        name = args[-1] if args else tmp_path / "a"
+        lines.append((Path(name) / "capacitance.csv").read_text().splitlines()[0])
+    assert lines[0].startswith("# config=") and len(set(lines)) == 1
 
 
 def test_missing_config_file():
@@ -183,26 +207,29 @@ def test_synthesize_reuses_matching_table(tmp_path, caplog):
 
 @pytest.mark.filterwarnings("ignore:frequency tail not resolved")
 def test_synthesize_recomputes_table_of_other_grid(tmp_path, caplog):
-    import logging
     run_command("sweep", parse_config_text(TINY_CONFIG), tmp_path)
     wider = parse_config_text(TINY_CONFIG + "freq.omega_max = 20.0\n")
     with caplog.at_level(logging.INFO, logger="smallscat.cli"):
         run_command("synthesize", wider, tmp_path)
     messages = [rec.message for rec in caplog.records]
     assert not any("reusing table" in m for m in messages)
-    assert any("frequency grid mismatch" in m for m in messages)
+    assert any("key mismatch" in m for m in messages)
 
 
 @pytest.mark.filterwarnings("ignore:frequency tail not resolved")
-def test_synthesize_recomputes_table_of_other_solver_constants(tmp_path, caplog, monkeypatch):
+def test_synthesize_recomputes_table_of_other_solver_constants(tmp_path, caplog, monkeypatch,
+                                                               package_digest):
+    # the table was stamped before an edit of RESIDUAL_TOL in bem.py
     cfg = parse_config_text(TINY_CONFIG)
     run_command("sweep", cfg, tmp_path)
-    monkeypatch.setattr(bem, "RESIDUAL_TOL", 1e-9)
+    monkeypatch.setattr(synthesis, "_SOURCE_DIGEST", package_digest(
+        ("bem.py", b"RESIDUAL_TOL = 1e-10", b"RESIDUAL_TOL = 1e-9")))
     with caplog.at_level(logging.INFO, logger="smallscat.cli"):
         run_command("synthesize", cfg, tmp_path)
     messages = [rec.message for rec in caplog.records]
     assert not any("reusing table" in m for m in messages)
-    assert any("scenario hash mismatch" in m for m in messages)
+    assert any("key mismatch" in m for m in messages)
+    caplog.clear()
     with caplog.at_level(logging.INFO, logger="smallscat.cli"):
         run_command("synthesize", cfg, tmp_path)       # the re-swept table is reused
     assert any("reusing table" in rec.message for rec in caplog.records)
@@ -332,3 +359,16 @@ def test_pulse_center_outside_hole_rejected(tmp_path, capsys):
     cfg.write_text(TINY_CONFIG + "pulse.center = 2.5, 0, 0\n")
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert "pulse.center" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["oracle-compare", "all"])
+def test_off_centre_pulse_rejected_before_any_work(tmp_path, capsys, command):
+    # the sphere oracle needs an origin-centred pulse; `all` used to run the
+    # capacitance study and write capacitance.csv before it found out
+    cfg = tmp_path / "offset.cfg"
+    cfg.write_text("epsilons = 0.05, 0.1\npulse.center = 0.3, 0, 0\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "pulse.center" in capsys.readouterr().err
+    assert not any(out.iterdir())

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import logging
 import os
+import re
 import threading
 import weakref
 
@@ -273,15 +274,16 @@ def test_cached_table_recomputes_truncated_table(scenario, tmp_path):
     nodes, weights, edges = build_frequency_grid(10.0, 16)
     points = np.array([[2.5, 0.0, 0.0], [0.0, 3.0, 0.0]])
     values = np.outer(np.exp(-1j * nodes), [1.0, 0.5])
+    key = scenario.content_hash(10.0, 16)
     full = FrequencyTable(omegas=nodes, weights=weights, panel_edges=edges, points=points,
-                          values=values, scenario_hash=scenario.content_hash())
+                          values=values, scenario_hash=key)
     path = tmp_path / "table.csv"
     full.save_csv(path)
-    assert _cached_table(path, points, scenario, len(nodes), edges) is not None
+    assert _cached_table(path, points, key) is not None
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
     with pytest.raises(ValueError, match="omega-major block"):
         FrequencyTable.load_csv(path, points)
-    assert _cached_table(path, points, scenario, len(nodes), edges) is None
+    assert _cached_table(path, points, key) is None
 
 
 @pytest.mark.parametrize("text", [
@@ -292,38 +294,59 @@ def test_cached_table_recomputes_truncated_table(scenario, tmp_path):
 def test_broken_table_file_is_rejected(scenario, point, tmp_path, text):
     # what a run killed while writing a table can leave behind: the loader
     # names the file, and the cache re-sweeps instead of crashing
-    nodes, _, edges = build_frequency_grid(10.0, 16)
     path = tmp_path / "table.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match="table.csv"):
         FrequencyTable.load_csv(path, point)
-    assert _cached_table(path, point, scenario, len(nodes), edges) is None
+    assert _cached_table(path, point, scenario.content_hash(10.0, 16)) is None
+
+
+def test_source_digest_covers_every_module(package_digest):
+    # the digest read at import is the one computed here over the package
+    # directory, so it covers every *.py file in it, by name and bytes
+    assert synthesis._SOURCE_DIGEST == package_digest()
+    modules = {name for name in os.listdir(os.path.dirname(synthesis.__file__))
+               if name.endswith(".py")}
+    assert {"bem.py", "incident.py", "geometry.py", "synthesis.py"} <= modules
 
 
 @pytest.mark.parametrize("module, name", [
     ("bem", "WINDOW_FACTOR"), ("bem", "WINDOW_CUTOFF"), ("bem", "N_GAMMA"),
     ("bem", "N_ALPHA"), ("bem", "STENCIL_MARGIN"), ("bem", "RESIDUAL_TOL"),
     ("bem", "MIXED_CONDITION_LIMIT"), ("bem", "REFINE_MAX_ITER"),
-    ("synthesis", "CONDITION_LIMIT"), ("synthesis", "GL_PER_PANEL")])
+    ("bem", "CONDITION_LIMIT"), ("synthesis", "GL_PER_PANEL")])
 def test_cached_table_keyed_on_solver_constants(scenario, tmp_path, caplog, monkeypatch,
-                                                module, name):
+                                                package_digest, module, name):
+    # a table stamped before an edit of the constant's literal is re-swept
     nodes, weights, edges = build_frequency_grid(10.0, 16)
     points = np.array([[2.5, 0.0, 0.0]])
     FrequencyTable(omegas=nodes, weights=weights, panel_edges=edges, points=points,
                    values=np.exp(-1j * nodes)[:, None],
-                   scenario_hash=scenario.content_hash()).save_csv(tmp_path / "table.csv")
-    target = bem if module == "bem" else synthesis
-    monkeypatch.setattr(target, name, 2 * getattr(target, name))
+                   scenario_hash=scenario.content_hash(10.0, 16)).save_csv(tmp_path / "table.csv")
+    with open(os.path.join(os.path.dirname(synthesis.__file__), f"{module}.py")) as fh:
+        line = re.search(rf"^{name} = .*$", fh.read(), re.M).group(0)
+    edited = line.replace(" = ", " = 2 * ", 1)
+    monkeypatch.setattr(synthesis, "_SOURCE_DIGEST",
+                        package_digest((f"{module}.py", line.encode(), edited.encode())))
     with caplog.at_level(logging.INFO, logger="smallscat.cli"):
-        assert _cached_table(tmp_path / "table.csv", points, scenario, len(nodes), edges) is None
-    assert any("scenario hash mismatch" in rec.message for rec in caplog.records)
+        assert _cached_table(tmp_path / "table.csv", points,
+                             scenario.content_hash(10.0, 16)) is None
+    assert any("key mismatch" in rec.message for rec in caplog.records)
 
 
-def test_table_hash_covers_constants_added_later(scenario, monkeypatch):
-    # no hand-kept list: a new solver constant keys the cached tables too
-    before = scenario.content_hash()
-    monkeypatch.setattr(bem, "NEW_SOLVER_TOL", 1e-3, raising=False)
-    assert scenario.content_hash() != before
+def test_table_hash_covers_constants_added_later(scenario, monkeypatch, package_digest):
+    # no hand-kept list: a solver constant added to the source keys the tables too
+    before = scenario.content_hash(10.0, 16)
+    monkeypatch.setattr(synthesis, "_SOURCE_DIGEST", package_digest(
+        ("bem.py", b"RESIDUAL_TOL = ", b"NEW_SOLVER_TOL = 1e-3\nRESIDUAL_TOL = ")))
+    assert scenario.content_hash(10.0, 16) != before
+
+
+def test_table_key_is_the_frequency_grid_not_its_request(scenario):
+    # n_omega rounds up to whole panels: requests of one grid share a key
+    assert scenario.content_hash(40.0, 397) == scenario.content_hash(40.0, 400)
+    assert scenario.content_hash(40.0, 400) != scenario.content_hash(40.0, 408)
+    assert scenario.content_hash(40.0, 400) != scenario.content_hash(20.0, 400)
 
 
 def test_inversion_fits_the_nodes_used(oracle):
@@ -360,7 +383,7 @@ def test_nudged_node_stays_in_its_cell(pulse, point, monkeypatch, failures, mode
             raise NearResonanceError("injected failure")
         x, diag = real_solve(mat, rhs)
         if failing:
-            diag = dataclasses.replace(diag, condition_estimate=2.0 * synthesis.CONDITION_LIMIT)
+            diag = dataclasses.replace(diag, condition_estimate=2.0 * bem.CONDITION_LIMIT)
         return x, diag
 
     monkeypatch.setattr(bem, "solve_density_with_diagnostics", flaky_solve)
@@ -427,7 +450,7 @@ def test_sweep_releases_worker_state(pulse, point, monkeypatch):
     gc.collect()
     assert len(grids) == 1 and grids[0]() is None
     # every node fails its condition gate, so the sweep raises mid-loop
-    monkeypatch.setattr(synthesis, "CONDITION_LIMIT", 0.0)
+    monkeypatch.setattr(bem, "CONDITION_LIMIT", 0.0)
     with pytest.raises(NearResonanceError):
         frequency_sweep(scn, point, omega_max=10.0, n_omega=8)
     gc.collect()
@@ -446,7 +469,7 @@ def test_failed_node_cancels_pending_nodes(pulse, point, monkeypatch):
         return real_solve(mat, rhs)
 
     monkeypatch.setattr(bem, "solve_density_with_diagnostics", counting_solve)
-    monkeypatch.setattr(synthesis, "CONDITION_LIMIT", 0.0)
+    monkeypatch.setattr(bem, "CONDITION_LIMIT", 0.0)
     scn = ScatteringScenario(StarShape.sphere(), 0.1, pulse, n_theta=8, n_phi=16)
     with pytest.raises(NearResonanceError, match="failed at all of"):
         frequency_sweep(scn, point, omega_max=10.0, n_omega=80, workers=2)
