@@ -14,7 +14,13 @@ with one formula for every s = a + ib:
 
 written straight into the real and imaginary parts of the matrix (E is
 skipped on the imaginary axis, C and S for real s, which keep a real
-matrix).  C loses no digits however small |b| d is.  The static part is
+matrix).  C loses no digits however small |b| d is.  The node distances
+are symmetric to the bit, so the remainder is computed on the upper block
+triangle only and mirrored (`_fill_symmetric`) before the column weights
+w_j / (4 pi d) make the matrix non-symmetric; the static core's far part
+is filled the same way.  Every entry goes through the same operations as
+on the whole matrix, so the matrices are those of a full fill, bit for
+bit.  The static part is
 assembled once per grid ("static core") with a singularity correction: the
 kernel is blended into a long-range piece that is smooth in the squared
 distance (spectral under the plain product rule) and a localized singular
@@ -195,6 +201,22 @@ def _extended_theta(grid: SurfaceGrid):
     return theta_ext, rows, flags
 
 
+def _fill_symmetric(fill, *arrays: np.ndarray) -> None:
+    """Fill symmetric N x N `arrays` from their upper block triangle.
+
+    `fill(block)` writes `block` = rows lo:hi, columns lo: of every array,
+    for row blocks of 100; each finished block is then mirrored into the
+    lower triangle, so an entry off the diagonal blocks is computed once
+    per node pair.  The diagonal 100 x 100 blocks are computed whole.
+    """
+    n = arrays[0].shape[0]
+    for lo in range(0, n, 100):
+        hi = min(n, lo + 100)
+        fill(np.s_[lo:hi, lo:])
+        for a in arrays:
+            a[hi:, lo:hi] = a[lo:hi, hi:].T
+
+
 def _static_core(grid: SurfaceGrid) -> _StaticCore:
     N = grid.n_nodes
     W = _window_width(grid)
@@ -205,22 +227,29 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
     # linear_correction accumulates [local polar - plain product] for the
     # windowed kernel eta d; the frequency kernel's odd term s^2 d / 2
     # carries the same cone singularity as 1/d and is corrected with it.
-    matrix = np.zeros((N, N))
-    cmat = np.zeros((N, N))
+    # The kernels are symmetric in the node pair: filled on the upper block
+    # triangle, then weighted by column.
+    matrix = np.empty((N, N))
+    cmat = np.empty((N, N))
     dist = np.empty((N, N))
-    # row blocks of about 2e5 entries: the far part's temporaries stay a few
-    # MB, well below the core's own three N x N arrays
-    block = max(1, int(2.0e5 // N))
-    for lo in range(0, N, block):
-        hi = min(N, lo + block)
-        diff = grid.nodes[lo:hi, None, :] - grid.nodes[None, :, :]
+
+    def far(block):
+        rows, cols = block
+        diff = grid.nodes[rows, None, :] - grid.nodes[None, cols, :]
         d2 = np.sum(np.square(diff, out=diff), axis=-1)     # squared in place
         del diff
-        if np.min(d2 + np.eye(hi - lo, N, k=lo)) <= 0.0:
+        # the block's columns start at its first row: every unordered pair
+        # of nodes is checked in the block of the lower-numbered one
+        if np.min(d2 + np.eye(*d2.shape)) <= 0.0:
             raise GridDegenerateError("coincident distinct grid nodes")
-        np.sqrt(d2, out=dist[lo:hi])
-        matrix[lo:hi] = _q_blend(d2, W) * grid.weights[None, :] / (4.0 * math.pi)
-        cmat[lo:hi] = -np.exp(-d2 / W2) * dist[lo:hi] * grid.weights[None, :]
+        np.sqrt(d2, out=dist[block])
+        matrix[block] = _q_blend(d2, W)
+        cmat[block] = -np.exp(-d2 / W2) * dist[block]
+
+    _fill_symmetric(far, matrix, cmat, dist)
+    matrix *= grid.weights[None, :]
+    matrix /= 4.0 * math.pi
+    cmat *= grid.weights[None, :]
     np.fill_diagonal(dist, 1.0)
 
     # --- local part: rotated polar integration with grid interpolation ---
@@ -354,6 +383,9 @@ class SingleLayerMatrix:
 class SolveDiagnostics:
     residual: float
     condition_estimate: float
+    # the factors condition_estimate comes from: "single" or "double"
+    # (`_lu_solve_with_cond`), None when no factorization was made
+    condition_precision: str | None
 
 
 def assemble_single_layer(grid: SurfaceGrid, s: complex) -> SingleLayerMatrix:
@@ -365,30 +397,38 @@ def assemble_single_layer(grid: SurfaceGrid, s: complex) -> SingleLayerMatrix:
     a, b = s.real, s.imag
     dist = core.distances
     # the remainder e^{-sd} - 1 = (1 + E)(C - iS) + E in real arithmetic
-    # (module docstring), written straight into the returned matrix; `tmp`
-    # is the one other N x N array the solving thread holds
+    # (module docstring), symmetric in the node pair: written straight into
+    # the returned matrix on its upper block triangle and mirrored.  `tmp`
+    # is the one other N x N array the solving thread holds: E's scratch
+    # here, then the column scaling
     mat = np.empty(dist.shape, dtype=float if b == 0.0 else complex)
     re, im = mat.real, (mat.imag if b != 0.0 else None)
     tmp = np.empty(dist.shape)
-    if b == 0.0:                                    # C = S = 0: the remainder is E
-        np.multiply(-a, dist, out=re)
-        np.expm1(re, out=re)
-    else:
-        np.multiply(0.5 * b, dist, out=re)
-        np.sin(re, out=re)
-        np.square(re, out=re)
-        re *= -2.0                                  # C
+
+    def remainder(block):
+        d, r, e = dist[block], re[block], tmp[block]
+        if b == 0.0:                                # C = S = 0: the remainder is E
+            np.multiply(-a, d, out=r)
+            np.expm1(r, out=r)
+            return
+        i = im[block]
+        np.multiply(0.5 * b, d, out=r)
+        np.sin(r, out=r)
+        np.square(r, out=r)
+        r *= -2.0                                   # C
         if a != 0.0:
-            np.multiply(-a, dist, out=tmp)
-            np.expm1(tmp, out=tmp)                  # E
-            np.multiply(re, tmp, out=im)            # C E, with im as scratch
-            re += im
-            re += tmp
-            tmp += 1.0                              # 1 + E
-        np.multiply(-b, dist, out=im)
-        np.sin(im, out=im)                          # -S
+            np.multiply(-a, d, out=e)
+            np.expm1(e, out=e)                      # E
+            np.multiply(r, e, out=i)                # C E, with im as scratch
+            r += i
+            r += e
+            e += 1.0                                # 1 + E
+        np.multiply(-b, d, out=i)
+        np.sin(i, out=i)                            # -S
         if a != 0.0:
-            im *= tmp
+            i *= e
+
+    _fill_symmetric(remainder, mat)
     # kernel scaling w_j / (4 pi d); the diagonal carries the remainder's
     # limit -s w_j / (4 pi)
     np.multiply(4.0 * math.pi, dist, out=tmp)
@@ -448,7 +488,8 @@ def _refine(A, B, lu, piv, getrs, norm_inf: float):
 def _lu_solve_with_cond(A: np.ndarray, B: np.ndarray):
     """Solve A X = B (B of A's dtype, shape (N, k)) by mixed-precision LU.
 
-    Returns X, the residual B - A X and the 1-norm condition estimate of A.
+    Returns X, the residual B - A X, the 1-norm condition estimate of A and
+    the precision, "single" or "double", of the factors it comes from.
     A is factored in single precision, in the buffer of |A| that the norms
     need anyway, so the solve makes no other N x N array for its factors,
     and X is refined to double-precision backward error (`_refine`).  The
@@ -476,7 +517,7 @@ def _lu_solve_with_cond(A: np.ndarray, B: np.ndarray):
         if cond <= MIXED_CONDITION_LIMIT:
             refined = _refine(A, B, lu, piv, getrs, norm_inf)
             if refined is not None:
-                return (*refined, cond)
+                return (*refined, cond, "single")
     del lu, work, absA      # the single-precision factors are freed here
     getrf, getrs, gecon = sla.get_lapack_funcs(("getrf", "getrs", "gecon"), (A,))
     lu, piv, info = getrf(A.T)
@@ -485,7 +526,7 @@ def _lu_solve_with_cond(A: np.ndarray, B: np.ndarray):
     X, info = getrs(lu, piv, B, trans=1)
     if info != 0:
         raise np.linalg.LinAlgError(f"getrs info={info}")
-    return X, B - A @ X, _condition(gecon, lu, norm1)
+    return X, B - A @ X, _condition(gecon, lu, norm1), "double"
 
 
 def solve_density_with_diagnostics(mat: SingleLayerMatrix, rhs: np.ndarray):
@@ -501,12 +542,13 @@ def solve_density_with_diagnostics(mat: SingleLayerMatrix, rhs: np.ndarray):
         raise ValueError(f"rhs length {rhs.shape} does not match grid {mat.matrix.shape[:1]}")
     rhs_norm = np.linalg.norm(rhs)
     if rhs_norm == 0.0:
-        return np.zeros_like(rhs), SolveDiagnostics(residual=0.0, condition_estimate=0.0)
+        return np.zeros_like(rhs), SolveDiagnostics(residual=0.0, condition_estimate=0.0,
+                                                    condition_precision=None)
     A = mat.matrix
     split = np.isrealobj(A) and np.iscomplexobj(rhs)
     B = np.stack([rhs.real, rhs.imag], axis=1) if split else rhs[:, None].astype(A.dtype)
     try:
-        X, R, cond = _lu_solve_with_cond(A, B)
+        X, R, cond, precision = _lu_solve_with_cond(A, B)
     except np.linalg.LinAlgError as exc:
         raise NearResonanceError(f"factorization breakdown at s={mat.s}") from exc
     x = X[:, 0] + 1j * X[:, 1] if split else X[:, 0]
@@ -516,7 +558,8 @@ def solve_density_with_diagnostics(mat: SingleLayerMatrix, rhs: np.ndarray):
             f"solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} at s={mat.s} "
             f"(condition estimate {cond:.3e})", condition_estimate=cond)
     logger.debug("solve s=%s residual=%.3e cond=%.3e", mat.s, residual, cond)
-    return x, SolveDiagnostics(residual=residual, condition_estimate=cond)
+    return x, SolveDiagnostics(residual=residual, condition_estimate=cond,
+                               condition_precision=precision)
 
 
 # ---------------------------------------------------------------------------

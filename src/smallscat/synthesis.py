@@ -263,7 +263,7 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
                 logger.warning("sweep node omega=%.6f near-resonant (condition estimate "
                                "%.3e above limit)", om, diag.condition_estimate)
                 continue
-            return om, values, diag.condition_estimate
+            return om, values, diag
         raise NearResonanceError(f"sweep node omega={omega} failed at all of {tries}")
 
     # the static core is built once, before any node starts.  One worker is
@@ -273,14 +273,15 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
     # caller's heap
     get_static_core(grid)
     if workers == 1:
-        used, rows, conds = zip(*map(solve, range(len(nodes))))
+        used, rows, diags = zip(*map(solve, range(len(nodes))))
     else:
         with ThreadPoolExecutor(workers) as pool:
-            used, rows, conds = zip(*pool.map(solve, range(len(nodes))))
+            used, rows, diags = zip(*pool.map(solve, range(len(nodes))))
     omegas = np.array(used)
     values = np.array(rows)
-    logger.info("sweep eps=%.3g: %d nodes, worst condition estimate %.3e",
-                scenario.epsilon, len(nodes), max(conds))
+    worst = max(diags, key=lambda diag: diag.condition_estimate)
+    logger.info("sweep eps=%.3g: %d nodes, worst condition estimate %.3e (%s-precision factors)",
+                scenario.epsilon, len(nodes), worst.condition_estimate, worst.condition_precision)
 
     tail = np.max(np.abs(values[-GL_PER_PANEL:])) if len(nodes) >= GL_PER_PANEL else 0.0
     peak = float(np.max(np.abs(values))) if values.size else 0.0

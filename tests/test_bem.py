@@ -104,6 +104,58 @@ def test_remainder_matches_complex_expm1(shape_name):
     assert np.max(np.abs(small.imag / ref.imag - 1.0)) < 1e-13
 
 
+def _dense_node_matrix(grid, s):
+    """Real and imaginary parts of the node matrix, by the remainder's
+    real-arithmetic formula applied to the whole distance matrix in the
+    solver's sequence of operations."""
+    core = get_static_core(grid)
+    d, w = core.distances, grid.weights[None, :]
+    s = complex(s)
+    a, b = s.real, s.imag
+    if b == 0.0:
+        re, im = np.expm1(-a * d), np.zeros_like(d)
+    else:
+        re = np.square(np.sin(0.5 * b * d)) * -2.0          # C
+        im = np.sin(-b * d)                                 # -S
+        if a != 0.0:
+            e = np.expm1(-a * d)                            # E
+            re = re + re * e + e
+            im = im * (e + 1.0)
+    scale = w / (FOUR_PI * d)
+    re = re * scale
+    np.fill_diagonal(re, -a / FOUR_PI * grid.weights)
+    re = re + core.matrix
+    s2 = s * s / (8.0 * math.pi)
+    re = re + s2.real * core.linear_correction
+    if b != 0.0:
+        im = im * scale
+        np.fill_diagonal(im, -b / FOUR_PI * grid.weights)
+    if s2.imag != 0.0:
+        im = im + s2.imag * core.linear_correction
+    return re, im
+
+
+@pytest.mark.parametrize("res", [(6, 12), (10, 20), (12, 24), (20, 40)],
+                         ids=["N72", "N200", "N288", "N800"])
+@pytest.mark.parametrize("shape_name", ["sphere", "offset_bumpy_sphere"])
+def test_triangle_fill_is_bit_identical_to_dense(shape_name, res):
+    # the kernels are filled on the upper block triangle and mirrored: N
+    # below one block, at exact multiples of it and at neither give the
+    # same bits as the formula on the whole matrix
+    grid = build_surface_grid(getattr(StarShape, shape_name)(), 0.16, *res)
+    diff = grid.nodes[:, None, :] - grid.nodes[None, :, :]
+    dense = np.sqrt(np.sum(np.square(diff), axis=-1))
+    np.fill_diagonal(dense, 1.0)
+    dist = get_static_core(grid).distances
+    assert np.array_equal(dist, dense)
+    assert np.array_equal(dist, dist.T)
+    for s in REMAINDER_S:
+        got = assemble_single_layer(grid, s).matrix
+        re, im = _dense_node_matrix(grid, s)
+        assert np.iscomplexobj(got) == (complex(s).imag != 0.0)
+        assert np.array_equal(got.real, re) and np.array_equal(got.imag, im)
+
+
 @pytest.mark.parametrize("l, m", [(1, 1), (2, -1), (3, 2), (4, 3)])
 def test_sphere_harmonics_are_eigenvectors(sphere_grid, l, m):
     # S(s) Y_lm = lambda_l(s) Y_lm on the unit sphere.  A non-constant,
@@ -201,11 +253,14 @@ def test_degenerate_grid_rejected(sphere):
     import dataclasses
     from smallscat.bem import GridDegenerateError
     grid = build_surface_grid(sphere, 0.5, 8, 16)
-    nodes = grid.nodes.copy()
-    nodes[1] = nodes[0]
-    broken = dataclasses.replace(grid, nodes=nodes)
-    with pytest.raises(GridDegenerateError):
-        assemble_single_layer(broken, 0.0)
+    # node 0 duplicated within its row block, and in the grid's last node
+    # (N = 128 is more than one block of the static core's triangle fill)
+    for copy in (1, -1):
+        nodes = grid.nodes.copy()
+        nodes[copy] = nodes[0]
+        broken = dataclasses.replace(grid, nodes=nodes)
+        with pytest.raises(GridDegenerateError):
+            assemble_single_layer(broken, 0.0)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -291,6 +346,7 @@ def test_mixed_solve_matches_double_lu(pulse, lapack_calls, shape_name, eps):
         assert all(f_contiguous for name, _, f_contiguous in lapack_calls if name == "getrf")
         assert np.linalg.norm(x - ref_x) <= 1e-11 * np.linalg.norm(ref_x)
         assert abs(diag.condition_estimate / ref_cond - 1.0) <= 1e-3
+        assert diag.condition_precision == "single"
         assert diag.residual <= 1e-14
 
 
@@ -306,6 +362,7 @@ def test_double_lu_decides_near_resonance(pulse, lapack_calls):
     x, diag = solve_density_with_diagnostics(mat, rhs)
     ref_x, ref_cond = _double_lu_reference(mat.matrix, rhs)
     assert diag.condition_estimate > bem.MIXED_CONDITION_LIMIT
+    assert diag.condition_precision == "double"
     assert [(name, dt) for name, dt, _ in lapack_calls] == [
         ("getrf", np.complex64), ("getrf", np.complex128), ("getrs", np.complex128)]
     assert all(f_contiguous for name, _, f_contiguous in lapack_calls if name == "getrf")
@@ -334,6 +391,7 @@ def test_ill_conditioned_matrix_falls_back_to_double_lu(sphere_grid, lapack_call
     assert single_solves <= 1 + bem.REFINE_MAX_ITER
     assert lapack_calls[-2:] == [("getrf", np.complex128, True), ("getrs", np.complex128, True)]
     assert diag.condition_estimate > 1e8
+    assert diag.condition_precision == "double"
     assert diag.residual <= RESIDUAL_TOL
     assert np.linalg.norm(A @ x - rhs) <= RESIDUAL_TOL * np.linalg.norm(rhs)
 

@@ -399,6 +399,22 @@ def test_nudged_node_stays_in_its_cell(pulse, point, monkeypatch, failures, mode
 
 
 @pytest.mark.filterwarnings("ignore:frequency tail not resolved")
+@pytest.mark.parametrize("mixed_limit, precision", [(bem.MIXED_CONDITION_LIMIT, "single"),
+                                                    (1.0, "double")],
+                         ids=["single", "double"])
+def test_sweep_logs_the_precision_of_its_worst_condition(pulse, point, caplog, monkeypatch,
+                                                         mixed_limit, precision):
+    # well-conditioned nodes keep their single-precision factors; with the
+    # mixed limit below every node's condition, double-precision ones decide
+    monkeypatch.setattr(bem, "MIXED_CONDITION_LIMIT", mixed_limit)
+    scn = ScatteringScenario(StarShape.sphere(), 0.1, pulse, n_theta=8, n_phi=16)
+    with caplog.at_level(logging.INFO, logger="smallscat.synthesis"):
+        frequency_sweep(scn, point, omega_max=10.0, n_omega=8)
+    assert [rec.message.endswith(f"({precision}-precision factors)") for rec in caplog.records
+            if "worst condition estimate" in rec.message] == [True]
+
+
+@pytest.mark.filterwarnings("ignore:frequency tail not resolved")
 def test_worker_count_invariance(pulse, point):
     scn = ScatteringScenario(StarShape.sphere(), 0.1, pulse, n_theta=8, n_phi=16)
     t1 = frequency_sweep(scn, point, omega_max=10.0, n_omega=24, workers=1)
