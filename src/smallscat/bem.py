@@ -318,7 +318,7 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
         r_q, rt_q, rp_q = grid.shape.radial_derivatives(th_q, ph_q)   # (n_phi, nq)
         rp_over = rp_q / np.maximum(np.sin(th_q), 1e-300)
         jac_q = r_q * np.sqrt(r_q ** 2 + rt_q ** 2 + rp_over ** 2)
-        ypts = grid.epsilon * (grid.shape.center[None, None, :] + r_q[..., None] * ydirs)
+        ypts = grid.epsilon * (np.asarray(grid.shape.center) + r_q[..., None] * ydirs)
 
         node_slice = slice(a * n_phi, (a + 1) * n_phi)
         dist_q = np.linalg.norm(ypts - grid.nodes[node_slice][:, None, :], axis=2)

@@ -23,7 +23,7 @@ import math
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -444,8 +444,7 @@ def main(argv=None) -> int:
         if args.workers is not None:
             if args.workers < 1:
                 raise ConfigError("key 'workers' must be >= 1")
-            import dataclasses
-            config = dataclasses.replace(config, workers=args.workers)
+            config = replace(config, workers=args.workers)
         out_dir = args.out if args.out else config.output_dir
         manifest = run_command(args.command, config, out_dir)
     except ConfigError as exc:

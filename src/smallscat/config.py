@@ -2,15 +2,13 @@
 
 Grammar (one assignment per line, '#' comments):
 
-    shape = sphere | harmonics
-    shape.radius = 1.0            # sphere only
+    shape.constant = 1.0
     shape.center = 0.0, 0.0, 0.0
-    shape.constant = 0.8          # harmonics only
-    shape.coeffs = (2, 0, 0.1); (3, 2, 0.05)
+    shape.coeffs = (2, 0, 0.1); (3, 2, 0.05)     # empty: a sphere
     pulse.r0 = 2.0
     pulse.R0 = 3.0
     pulse.kreg = 7
-    pulse.amplitude = auto        # or a number
+    pulse.center = 0.0, 0.0, 0.0
     epsilons = 0.02, 0.04, 0.08, 0.16
     shell.r_ff = 2.0
     shell.R_ff = 3.0
@@ -24,6 +22,11 @@ Grammar (one assignment per line, '#' comments):
     output_dir = out
     workers = 1
 
+The obstacle's radial function is shape.constant plus the real spherical
+harmonics (l, m, c) of shape.coeffs; without coeffs it is a sphere of radius
+shape.constant.  The pulse is normalized so that max psi = 1: every verdict
+is invariant under its amplitude.
+
 Unknown keys are rejected with the offending key named.
 """
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 from .geometry import ShellRegion, StarShape
 from .incident import ShellPulse
@@ -43,15 +46,12 @@ class ConfigError(ValueError):
 
 # every accepted key, with its default
 _DEFAULTS = {
-    "shape": "sphere",
-    "shape.radius": "1.0",
+    "shape.constant": "1.0",
     "shape.center": "0.0, 0.0, 0.0",
-    "shape.constant": "0.8",
-    "shape.coeffs": "(2, 0, 0.10); (3, 2, 0.05)",
+    "shape.coeffs": "",
     "pulse.r0": "2.0",
     "pulse.R0": "3.0",
     "pulse.kreg": "7",
-    "pulse.amplitude": "auto",
     "pulse.center": "0.0, 0.0, 0.0",
     "epsilons": "0.02, 0.04, 0.08, 0.16",
     "shell.r_ff": "2.0",
@@ -81,8 +81,11 @@ class ExperimentConfig:
     t0: float
     n_theta: int
     n_phi: int
-    output_dir: str
-    workers: int
+    # where the outputs go and how fast they are made: neither changes a
+    # result (tables are bit-identical at any worker count), so neither
+    # takes part in ==, hash() or config_hash()
+    output_dir: str = field(compare=False)
+    workers: int = field(compare=False)
 
     @property
     def t_star(self) -> float:
@@ -90,12 +93,9 @@ class ExperimentConfig:
         return self.pulse.R0 + self.shell.outer
 
     def config_hash(self) -> str:
-        """Key of the run's outputs: every parsed value, floats by exact repr,
-        except output_dir and workers, which say only where the outputs go and
-        how fast they are made (tables are bit-identical at any worker count)."""
-        desc = (tuple(self.shape.center), self.shape.constant, self.shape.harmonics,
-                self.pulse, self.epsilons, self.shell, self.omega_max, self.n_omega,
-                self.t_max, self.n_t, self.t0, self.n_theta, self.n_phi)
+        """Key of the run's outputs: the exact repr of every field that takes
+        part in ==."""
+        desc = tuple(getattr(self, f.name) for f in fields(self) if f.compare)
         return hashlib.sha256(repr(desc).encode()).hexdigest()[:12]
 
 
@@ -148,32 +148,21 @@ def parse_config_text(text: str) -> ExperimentConfig:
         except ValueError as exc:
             raise ConfigError(f"invalid integer for key '{key}': {values[key]!r}") from exc
 
-    kind = values["shape"].strip().lower()
     center = _parse_floats(values["shape.center"], "shape.center")
     if len(center) != 3:
         raise ConfigError("shape.center must be three numbers")
     try:
-        if kind == "sphere":
-            shape = StarShape(center=center, constant=fnum("shape.radius"))
-        elif kind == "harmonics":
-            shape = StarShape(center=center, constant=fnum("shape.constant"),
-                              harmonics=_parse_coeffs(values["shape.coeffs"], "shape.coeffs"))
-        else:
-            raise ConfigError(f"unknown shape kind '{values['shape']}' (expected sphere | harmonics)")
+        shape = StarShape(center=center, constant=fnum("shape.constant"),
+                          harmonics=_parse_coeffs(values["shape.coeffs"], "shape.coeffs"))
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"invalid shape.* configuration: {exc}") from exc
 
-    amp = values["pulse.amplitude"].strip().lower()
-    amplitude = None if amp in ("auto", "none", "") else fnum("pulse.amplitude")
     pcenter = _parse_floats(values["pulse.center"], "pulse.center")
     if len(pcenter) != 3:
         raise ConfigError("pulse.center must be three numbers")
     try:
         pulse = ShellPulse(r0=fnum("pulse.r0"), R0=fnum("pulse.R0"),
-                           k_reg=inum("pulse.kreg"), amplitude=amplitude,
-                           center=tuple(pcenter))
+                           k_reg=inum("pulse.kreg"), center=tuple(pcenter))
     except ValueError as exc:
         raise ConfigError(f"invalid pulse.* configuration: {exc}") from exc
 

@@ -26,7 +26,7 @@ one per distinct theta.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,7 +46,7 @@ class StarShape:
 
     Attributes
     ----------
-    center : np.ndarray, shape (3,)
+    center : tuple of 3 floats
         Star center (dimensionless).  The physical obstacle is the scaled
         set eps * (center + r * s_hat).
     constant : float
@@ -54,19 +54,26 @@ class StarShape:
     harmonics : tuple of (l, m, coeff)
         Real spherical-harmonic terms added to the constant.  m may be
         negative (sine-type harmonics).
+
+    Every field is stored as plain Python numbers, so shapes compare, hash
+    and print exactly: equal shapes have equal reprs.
     """
 
-    center: np.ndarray = field(default_factory=lambda: np.zeros(3))
+    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
     constant: float = 1.0
     harmonics: tuple[tuple[int, int, float], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.center.shape != (3,):
-            raise ShapeInvalidError(f"center must be a 3-vector, got {self.center.shape}")
+        center = np.asarray(self.center, dtype=float)
+        if center.shape != (3,):
+            raise ShapeInvalidError(f"center must be a 3-vector, got {center.shape}")
         for (l, m, _) in self.harmonics:
-            if l < 0 or abs(m) > l:
+            if l < 0 or abs(m) > l or (l, m) != (int(l), int(m)):
                 raise ShapeInvalidError(f"invalid harmonic index (l={l}, m={m})")
+        object.__setattr__(self, "center", tuple(center.tolist()))
+        object.__setattr__(self, "constant", float(self.constant))
+        object.__setattr__(self, "harmonics",
+                           tuple((int(l), int(m), float(c)) for (l, m, c) in self.harmonics))
         # Dense sample check of positivity and the unit-ball bound.
         th = np.linspace(1e-3, math.pi - 1e-3, 61)
         ph = np.linspace(0.0, 2.0 * math.pi, 121, endpoint=False)
@@ -108,7 +115,7 @@ class StarShape:
 
     @staticmethod
     def sphere(radius: float = 1.0, center=(0.0, 0.0, 0.0)) -> "StarShape":
-        return StarShape(center=np.asarray(center, dtype=float), constant=radius)
+        return StarShape(center=center, constant=radius)
 
     @staticmethod
     def bumpy_sphere() -> "StarShape":
@@ -120,7 +127,7 @@ class StarShape:
         """Bumpy shape displaced off the contraction point: nonzero first
         moment of its equilibrium density (generic position for the
         point-approximation checks)."""
-        return StarShape(center=np.array([0.25, 0.0, 0.0]), constant=0.6,
+        return StarShape(center=(0.25, 0.0, 0.0), constant=0.6,
                          harmonics=((2, 0, 0.06), (3, 2, 0.03)))
 
 
@@ -178,14 +185,12 @@ class SurfaceGrid:
         return float(np.sqrt(np.max(self.weights)))
 
 
-def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
-    return _leggauss_cached(n)
-
-
 @lru_cache(maxsize=64)
-def _leggauss_cached(n: int):
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [-1, 1], cached and read-only: every
+    caller shares the arrays."""
     x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = w.flags.writeable = False
     return x, w
 
 
@@ -203,7 +208,7 @@ def build_surface_grid(shape: StarShape, epsilon: float, n_theta: int, n_phi: in
 
     u, wu = gauss_legendre(n_theta)
     theta = np.arccos(u[::-1])            # ascending theta
-    w_theta = wu[::-1].copy()
+    w_theta = wu[::-1]
     phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
     w_phi = 2.0 * math.pi / n_phi
 
@@ -220,7 +225,7 @@ def build_surface_grid(shape: StarShape, epsilon: float, n_theta: int, n_phi: in
     metric = np.sqrt(r * r + rt * rt + rp_over_st * rp_over_st)
     jac = r * metric                       # dGamma/dS at unit scale
 
-    unit_nodes = shape.center[None, :] + r[:, None] * s_hat
+    unit_nodes = np.asarray(shape.center) + r[:, None] * s_hat
 
     w_unit = np.repeat(w_theta, n_phi) * w_phi * jac
     nodes = epsilon * unit_nodes

@@ -155,9 +155,11 @@ def incident_time(pulse: ShellPulse, t, r):
 
 @lru_cache(maxsize=32)
 def _laplace_rule(a: float, b: float, n: int):
+    """Gauss-Legendre rule on [a, b], cached and read-only like gauss_legendre."""
     x, w = gauss_legendre(n)
     rho = 0.5 * (b + a) + 0.5 * (b - a) * x
     wq = 0.5 * (b - a) * w
+    rho.flags.writeable = wq.flags.writeable = False
     return rho, wq
 
 

@@ -10,7 +10,7 @@ substitution is noted at each check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,6 @@ KERNEL_SHELL_ORDERS = (6, 4)
 class ScalingFit:
     """Least-squares line through (log x, log y) with its worst residual."""
 
-    abscissae: tuple
     ordinates: tuple
     slope: float
     intercept: float
@@ -57,8 +56,7 @@ def fit_power_law(points) -> ScalingFit:
     lx, ly = np.log(x), np.log(y)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
-    return ScalingFit(abscissae=tuple(x), ordinates=tuple(y),
-                      slope=float(slope), intercept=float(intercept),
+    return ScalingFit(ordinates=tuple(y), slope=float(slope), intercept=float(intercept),
                       max_residual=float(np.max(np.abs(resid))))
 
 
@@ -90,8 +88,7 @@ def check_projection_scaling(shape: StarShape, pulse: ShellPulse, s: complex,
     contraction point, and a radial field centered exactly there has none
     (the fluctuation would gain an extra power of eps).
     """
-    import dataclasses
-    probe = dataclasses.replace(pulse, center=PROJECTION_DATA_CENTER)
+    probe = replace(pulse, center=PROJECTION_DATA_CENTER)
     mean_pts, fluct_pts = [], []
     for eps in eps_list:
         grid = build_surface_grid(shape, eps, n_theta, n_phi)

@@ -60,13 +60,11 @@ class ScatteringScenario:
 
     def content_hash(self, omega_max: float, n_omega: int) -> str:
         """Key of this scenario's table on the grid of
-        build_frequency_grid(omega_max, n_omega): the scenario's fields, the
-        grid's panel edges and node count, and the package source digest."""
+        build_frequency_grid(omega_max, n_omega): the scenario's exact repr
+        (every field, floats by exact repr), the grid's panel edges and node
+        count, and the package source digest."""
         nodes, _, edges = build_frequency_grid(omega_max, n_omega)
-        desc = (tuple(self.shape.center), self.shape.constant, self.shape.harmonics,
-                self.epsilon, self.pulse.r0, self.pulse.R0, self.pulse.k_reg,
-                self.pulse.amplitude, self.pulse.center, self.n_theta, self.n_phi,
-                tuple(edges.tolist()), len(nodes), _SOURCE_DIGEST)
+        desc = (self, tuple(edges.tolist()), len(nodes), _SOURCE_DIGEST)
         return hashlib.sha256(repr(desc).encode()).hexdigest()[:12]
 
 
@@ -238,6 +236,8 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
     NearResonanceError, and the nodes not yet started are cancelled.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
+    if len(points) == 0:
+        raise ValueError("frequency_sweep needs at least one observation point")
     nodes, weights, edges = build_frequency_grid(omega_max, n_omega)
     grid = build_surface_grid(scenario.shape, scenario.epsilon,
                               scenario.n_theta, scenario.n_phi)
@@ -283,8 +283,8 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
     logger.info("sweep eps=%.3g: %d nodes, worst condition estimate %.3e (%s-precision factors)",
                 scenario.epsilon, len(nodes), worst.condition_estimate, worst.condition_precision)
 
-    tail = np.max(np.abs(values[-GL_PER_PANEL:])) if len(nodes) >= GL_PER_PANEL else 0.0
-    peak = float(np.max(np.abs(values))) if values.size else 0.0
+    tail = np.max(np.abs(values[-GL_PER_PANEL:]))
+    peak = float(np.max(np.abs(values)))
     if peak > 0 and tail > TAIL_WARN_RATIO * peak:
         warnings.warn(
             f"frequency tail not resolved: last-panel magnitude {tail:.2e} vs peak {peak:.2e}; "

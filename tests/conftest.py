@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 from smallscat import synthesis
-from smallscat.geometry import StarShape
+from smallscat.config import ExperimentConfig
+from smallscat.geometry import ShellRegion, StarShape
 from smallscat.incident import ShellPulse, incident_time
+from smallscat.synthesis import ScatteringScenario
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +47,36 @@ def package_digest():
         return hashlib.sha256(repr(entries).encode()).hexdigest()
 
     return digest
+
+
+# a valid changed value of each field of the inputs that key stored
+# results; a field that holds one of these classes is changed field by field
+FIELD_CHANGES = {
+    StarShape: {"center": (0.01, 0.0, 0.0), "constant": 0.85, "harmonics": ((2, 0, 0.01),)},
+    ShellPulse: {"r0": 2.1, "R0": 3.1, "k_reg": 6, "amplitude": 2.0, "center": (0.1, 0.0, 0.0)},
+    ShellRegion: {"inner": 2.1, "outer": 3.1},
+    ScatteringScenario: {"epsilon": 0.05, "n_theta": 10, "n_phi": 20},
+    ExperimentConfig: {"epsilons": (0.02, 0.04), "omega_max": 20.0, "n_omega": 200,
+                       "t_max": 8.0, "n_t": 101, "t0": 5.0, "n_theta": 10, "n_phi": 20},
+}
+
+
+def field_variants(value):
+    """(dotted field path, value with that one field changed) for every field
+    of the dataclass value that takes part in ==, and recursively for every
+    field of the FIELD_CHANGES classes it holds.  A field with no listed change
+    fails an assert, so a field added later must be listed here."""
+    nested, flat = [], []
+    for f in dataclasses.fields(value):
+        if f.compare:
+            (nested if type(getattr(value, f.name)) in FIELD_CHANGES else flat).append(f.name)
+    changes = FIELD_CHANGES[type(value)]
+    assert sorted(changes) == sorted(flat), f"list a change of each field of {type(value)}"
+    for name in flat:
+        yield name, dataclasses.replace(value, **{name: changes[name]})
+    for name in nested:
+        for path, changed in field_variants(getattr(value, name)):
+            yield f"{name}.{path}", dataclasses.replace(value, **{name: changed})
 
 
 def piecewise_laplace(time_fn, s, breakpoints, n_gl=30):

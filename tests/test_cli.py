@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -8,11 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import field_variants
 from smallscat import bem, cli, synthesis
 from smallscat.cli import RunManifest, cmd_capacitance, main, run_command
 from smallscat.config import (
-    ConfigError, default_config, parse_config_file, parse_config_text,
+    ConfigError, ExperimentConfig, default_config, parse_config_file, parse_config_text,
 )
+from smallscat.geometry import StarShape
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 TINY_CONFIG = """
 # coarse settings: exercises plumbing, not accuracy
@@ -39,11 +44,11 @@ def test_default_config_matches_scenario_defaults():
 
 
 def test_parse_harmonics_shape():
-    cfg = parse_config_text(
-        "shape = harmonics\nshape.constant = 0.8\n"
-        "shape.coeffs = (2, 0, 0.1); (3, 2, 0.05)\n")
-    assert cfg.shape.harmonics == ((2, 0, 0.1), (3, 2, 0.05))
+    cfg = parse_config_text("shape.constant = 0.8\nshape.coeffs = (2, 0, 0.1); (3, 2, 0.05)\n")
+    assert cfg.shape == StarShape.bumpy_sphere()
     assert not cfg.shape.is_sphere
+    # without coeffs the shape is a sphere of radius shape.constant
+    assert parse_config_text("shape.constant = 0.5\n").shape == StarShape.sphere(0.5)
 
 
 def test_unknown_key_is_named():
@@ -77,8 +82,10 @@ def test_invalid_number_diagnostic():
 
 
 def test_bad_shape_kind():
-    with pytest.raises(ConfigError, match="shape"):
-        parse_config_text("shape = cube\n")
+    # the kind is read from shape.coeffs: a `shape` key is no longer accepted
+    for kind in ("cube", "sphere"):
+        with pytest.raises(ConfigError, match="unknown configuration key 'shape'"):
+            parse_config_text(f"shape = {kind}\n")
 
 
 def test_config_hash_stable_under_reserialization():
@@ -91,8 +98,12 @@ def test_config_hash_stable_under_reserialization():
 
 def test_config_hash_keys_parsed_values():
     # a number keys the run by its value, not by how the file spells it
-    assert parse_config_text("shape.radius = 1\n").config_hash() == \
-        parse_config_text("shape.radius = 1.0\n").config_hash()
+    assert parse_config_text("shape.constant = 1\n").config_hash() == \
+        parse_config_text("shape.constant = 1.0\n").config_hash() == \
+        default_config().config_hash()
+    bumpy = "shape.constant = 0.8\nshape.coeffs = (2, 0, 0.10)\n"
+    assert parse_config_text(bumpy).config_hash() == \
+        parse_config_text(bumpy.replace("0.8", ".80").replace("0.10", "1e-1")).config_hash()
     assert parse_config_text("time.t0 = 5.0\n").config_hash() != \
         default_config().config_hash()
 
@@ -111,6 +122,28 @@ def test_config_hash_ignores_where_and_how_fast(tmp_path):
         name = args[-1] if args else tmp_path / "a"
         lines.append((Path(name) / "capacitance.csv").read_text().splitlines()[0])
     assert lines[0].startswith("# config=") and len(set(lines)) == 1
+
+
+def test_config_hash_changes_with_every_field():
+    # every field of the config and of the shape, pulse and shell it holds,
+    # bar output_dir and workers, keys the run
+    base = dataclasses.replace(default_config(), shape=StarShape.bumpy_sphere())
+    keys = {path: changed.config_hash() for path, changed in field_variants(base)}
+    assert {"shape.center", "pulse.amplitude", "shell.outer", "n_phi"} <= set(keys)
+    assert len(set(keys.values()) | {base.config_hash()}) == len(keys) + 1
+    elsewhere = dataclasses.replace(base, output_dir="elsewhere", workers=4)
+    assert elsewhere == base and elsewhere.config_hash() == base.config_hash()
+
+
+def test_default_cfg_is_the_default_config():
+    # the file's header says it matches the built-in defaults
+    parsed = parse_config_file(CONFIGS / "default.cfg")
+    assert parsed == default_config() and repr(parsed) == repr(default_config())
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda path: path.name)
+def test_every_shipped_config_parses(path):
+    assert isinstance(parse_config_file(path), ExperimentConfig)
 
 
 def test_missing_config_file():
@@ -160,7 +193,8 @@ def test_cmd_checks_default(tmp_path):
 
 def test_cmd_all_solves_each_capacitance_once(tmp_path, monkeypatch):
     # a harmonic shape's theorem-2 capacitance is the study's finest solve
-    cfg = parse_config_text("shape = harmonics\n")
+    cfg = parse_config_text("shape.constant = 0.8\nshape.coeffs = (2, 0, 0.10); (3, 2, 0.05)\n")
+    assert not cfg.shape.is_sphere
     real_capacitance = bem.capacitance
     calls, results = [], []
 
@@ -315,8 +349,8 @@ def test_workers_flag_below_one_rejected(tmp_path, capsys, workers):
 
 def test_shape_and_pulse_validation_become_config_errors():
     from smallscat.config import parse_config_text
-    with pytest.raises(ConfigError, match="shape"):
-        parse_config_text("shape.radius = 1.5\n")
+    with pytest.raises(ConfigError, match="invalid shape"):
+        parse_config_text("shape.constant = 1.5\n")       # exceeds the unit ball
     with pytest.raises(ConfigError, match="pulse"):
         parse_config_text("pulse.r0 = 0.5\n")
     with pytest.raises(ConfigError, match="shell"):

@@ -66,12 +66,29 @@ def test_shape_invariants_enforced():
         StarShape(center=(0.9, 0, 0), constant=0.5)           # center + r > 1
     with pytest.raises(ShapeInvalidError):
         StarShape(constant=0.8, harmonics=((2, 3, 0.1),))     # |m| > l
+    with pytest.raises(ShapeInvalidError):
+        StarShape(constant=0.8, harmonics=((2.5, 0, 0.1),))   # l not an integer
 
 
 def test_unit_ball_check_uses_euclidean_center_norm():
     # max-norm 0.3 + 0.7 = 1 would pass; the surface reaches |x| = 1.124
     with pytest.raises(ShapeInvalidError, match="unit ball"):
         StarShape(center=(0.3, 0.3, 0.0), constant=0.7)
+
+
+def test_shapes_compare_hash_and_print_exactly():
+    assert StarShape.sphere() == StarShape.sphere()
+    assert hash(StarShape.bumpy_sphere()) == hash(StarShape.bumpy_sphere())
+    # numpy inputs are stored as plain numbers, so equal shapes print alike
+    a = StarShape(center=np.array([0.1, 0.0, 0.0]), constant=np.float64(0.5),
+                  harmonics=((np.int64(2), 0, np.float64(0.01)),))
+    b = StarShape(center=[0.1, 0, 0], constant=0.5, harmonics=((2, 0, 0.01),))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == repr(b) == ("StarShape(center=(0.1, 0.0, 0.0), constant=0.5, "
+                                  "harmonics=((2, 0, 0.01),))")
+    # a centre 1e-12 away is another shape, and prints as one
+    near = StarShape(center=(0.1 + 1e-12, 0.0, 0.0), constant=0.5, harmonics=((2, 0, 0.01),))
+    assert near != a and repr(near) != repr(a)
 
 
 def test_shipped_shapes_valid():

@@ -6,7 +6,8 @@ import pytest
 from conftest import numerical_incident_laplace
 from smallscat.geometry import StarShape, build_surface_grid, gauss_legendre
 from smallscat.incident import (
-    PulseConfigurationError, ShellPulse, incident_laplace, incident_time, incident_trace,
+    PulseConfigurationError, ShellPulse, _laplace_rule, incident_laplace, incident_time,
+    incident_trace,
 )
 
 
@@ -39,6 +40,16 @@ def test_pulse_validation():
 
 
 # -- time domain -------------------------------------------------------------
+def test_shared_gauss_rules_are_read_only():
+    # every caller shares the cached arrays: an in-place edit would corrupt
+    # every later caller's rule
+    x, w = gauss_legendre(8)
+    assert gauss_legendre(8)[0] is x
+    for arr in (x, w, *_laplace_rule(2.0, 3.0, 48)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
+
+
 def test_initial_condition_zero(pulse):
     for r in (0.0, 0.5, 2.5, 7.0):
         assert incident_time(pulse, 0.0, r) == 0.0

@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import field_variants
 from smallscat import bem, synthesis
 from smallscat.asymptotic import PointScattererModel, point_scatterer_time
 from smallscat.bem import NearResonanceError, capacitance
@@ -342,6 +343,15 @@ def test_table_hash_covers_constants_added_later(scenario, monkeypatch, package_
     assert scenario.content_hash(10.0, 16) != before
 
 
+def test_table_key_changes_with_every_field(pulse):
+    # every field of the scenario and of the shape and pulse it holds keys
+    # the table: no hand-kept list can miss one
+    base = ScatteringScenario(StarShape.bumpy_sphere(), EPS, pulse, n_theta=12, n_phi=24)
+    keys = {path: changed.content_hash(10.0, 16) for path, changed in field_variants(base)}
+    assert {"shape.harmonics", "pulse.k_reg", "epsilon"} <= set(keys)
+    assert len(set(keys.values()) | {base.content_hash(10.0, 16)}) == len(keys) + 1
+
+
 def test_table_key_is_the_frequency_grid_not_its_request(scenario):
     # n_omega rounds up to whole panels: requests of one grid share a key
     assert scenario.content_hash(40.0, 397) == scenario.content_hash(40.0, 400)
@@ -440,6 +450,15 @@ def test_one_worker_sweeps_on_the_calling_thread(pulse, point, monkeypatch):
     threads.clear()
     frequency_sweep(scn, point, omega_max=10.0, n_omega=8, workers=2)
     assert threading.get_ident() not in threads
+
+
+def test_empty_point_set_rejected_before_any_solve(scenario, monkeypatch):
+    def solve(*args):
+        raise AssertionError("a node was solved")
+
+    monkeypatch.setattr(synthesis, "exterior_field", solve)
+    with pytest.raises(ValueError, match="at least one observation point"):
+        frequency_sweep(scenario, np.zeros((0, 3)), 10.0, 8)
 
 
 def test_tail_warning_when_underresolved(pulse, point):
