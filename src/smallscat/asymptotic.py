@@ -38,19 +38,21 @@ class PointScattererModel:
 
 
 def _norms(x):
-    """|x| per point; returns (norms, was_single_vector)."""
+    """|x| per point; returns (norms, was_single_vector).  Every model here
+    is singular at the scatterer location, so x = 0 is rejected."""
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     if single:
         x = x[None, :]
-    return np.linalg.norm(x, axis=-1), single
+    rho = np.linalg.norm(x, axis=-1)
+    if np.any(rho == 0.0):
+        raise SingularEvaluationError("point-scatterer model is singular at x = 0")
+    return rho, single
 
 
 def point_scatterer_time(model: PointScattererModel, t, x):
     """u_app(t, x); t scalar or array, x a 3-vector or (n, 3) points."""
     rho, single = _norms(x)
-    if np.any(rho == 0.0):
-        raise SingularEvaluationError("point-scatterer model is singular at x = 0")
     t = np.asarray(t, dtype=float)
     tau = t - rho
     vals = incident_time(model.pulse, np.maximum(tau, 0.0), model.pulse.origin_distance)
@@ -62,8 +64,6 @@ def point_scatterer_time(model: PointScattererModel, t, x):
 def point_scatterer_frequency(model: PointScattererModel, s: complex, x):
     """u_hat_app(s, x) = -c_eps exp(-s|x|) u_hat_inc(s, 0) / (4 pi |x|)."""
     rho, single = _norms(x)
-    if np.any(rho == 0.0):
-        raise SingularEvaluationError("point-scatterer model is singular at x = 0")
     s = complex(s)
     u0 = incident_laplace(model.pulse, s, model.pulse.origin_distance)
     out = -model.c_eps * np.exp(-s * rho) * u0 / (4.0 * np.pi * rho)
@@ -74,8 +74,6 @@ def apply_S_app(grid: SurfaceGrid, density: np.ndarray, s: complex, x):
     """Approximate single-layer potential: point monopole carrying the
     total charge of the density."""
     rho, single = _norms(x)
-    if np.any(rho == 0.0):
-        raise SingularEvaluationError("approximate single layer is singular at x = 0")
     s = complex(s)
     total = np.sum(grid.weights * np.asarray(density))
     out = np.exp(-s * rho) / (4.0 * np.pi * rho) * total

@@ -70,7 +70,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .geometry import StarShape, SurfaceGrid, build_surface_grid, gauss_legendre
+from .geometry import StarShape, SurfaceGrid, build_surface_grid, gauss_panels
 from .incident import ShellPulse, incident_trace
 
 logger = logging.getLogger(__name__)
@@ -105,10 +105,6 @@ class GridDegenerateError(ValueError):
 
 class NearResonanceError(RuntimeError):
     """Dense solve failed its residual check (likely near a resonance)."""
-
-    def __init__(self, message, condition_estimate=None):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
 
 
 class NearFieldEvaluationError(ValueError):
@@ -258,12 +254,7 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
     gamma_max = 2.0 * math.asin(min(1.0, 0.5 * chord_cut))
     gamma_w = W / (grid.epsilon * r_min)            # window width in polar angle
     n_panels = max(2, math.ceil(gamma_max / gamma_w))
-    edges = np.linspace(0.0, gamma_max, n_panels + 1)
-    xg, wg = gauss_legendre(N_GAMMA)
-    gam = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * xg
-                          for a, b in zip(edges[:-1], edges[1:])])
-    wgam = np.concatenate([np.full(N_GAMMA, 0.5 * (b - a)) * wg
-                           for a, b in zip(edges[:-1], edges[1:])])
+    gam, wgam = gauss_panels(np.linspace(0.0, gamma_max, n_panels + 1), N_GAMMA)
     alpha = 2.0 * math.pi * np.arange(N_ALPHA) / N_ALPHA
     w_alpha = 2.0 * math.pi / N_ALPHA
 
@@ -556,7 +547,7 @@ def solve_density_with_diagnostics(mat: SingleLayerMatrix, rhs: np.ndarray):
     if not np.isfinite(residual) or residual > RESIDUAL_TOL:
         raise NearResonanceError(
             f"solve residual {residual:.3e} exceeds {RESIDUAL_TOL:.1e} at s={mat.s} "
-            f"(condition estimate {cond:.3e})", condition_estimate=cond)
+            f"(condition estimate {cond:.3e})")
     logger.debug("solve s=%s residual=%.3e cond=%.3e", mat.s, residual, cond)
     return x, SolveDiagnostics(residual=residual, condition_estimate=cond,
                                condition_precision=precision)

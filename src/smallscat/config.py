@@ -149,22 +149,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigError(f"invalid integer for key '{key}': {values[key]!r}") from exc
 
     center = _parse_floats(values["shape.center"], "shape.center")
-    if len(center) != 3:
-        raise ConfigError("shape.center must be three numbers")
     try:
         shape = StarShape(center=center, constant=fnum("shape.constant"),
                           harmonics=_parse_coeffs(values["shape.coeffs"], "shape.coeffs"))
     except ValueError as exc:
-        raise ConfigError(f"invalid shape.* configuration: {exc}") from exc
+        raise ConfigError(f"invalid shape.center, shape.constant or shape.coeffs: {exc}") from exc
 
     pcenter = _parse_floats(values["pulse.center"], "pulse.center")
-    if len(pcenter) != 3:
-        raise ConfigError("pulse.center must be three numbers")
     try:
         pulse = ShellPulse(r0=fnum("pulse.r0"), R0=fnum("pulse.R0"),
-                           k_reg=inum("pulse.kreg"), center=tuple(pcenter))
+                           k_reg=inum("pulse.kreg"), center=pcenter)
     except ValueError as exc:
-        raise ConfigError(f"invalid pulse.* configuration: {exc}") from exc
+        raise ConfigError(f"invalid pulse.r0, pulse.R0, pulse.kreg or pulse.center: {exc}") from exc
 
     epsilons = tuple(_parse_floats(values["epsilons"], "epsilons"))
     if not epsilons:
@@ -174,10 +170,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     try:
         shell = ShellRegion(fnum("shell.r_ff"), fnum("shell.R_ff"))
     except ValueError as exc:
-        raise ConfigError(f"invalid shell.* configuration: {exc}") from exc
-    if shell.outer <= shell.inner:
-        raise ConfigError(f"key 'shell.R_ff' must exceed shell.r_ff = {shell.inner}, "
-                          f"got {shell.outer}")
+        raise ConfigError(f"invalid shell.r_ff or shell.R_ff: {exc}") from exc
     if max(epsilons) >= min(pulse.r0, shell.inner) / 4.0:
         raise ConfigError(
             f"key 'epsilons': max eps {max(epsilons)} must be < min(r0, r_ff)/4 "

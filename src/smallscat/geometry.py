@@ -21,6 +21,11 @@ the azimuthal factor (cos |m| phi, sin |m| phi or 1) on phi's, and the two
 broadcast.  A theta column and a phi row thus cost one Legendre evaluation
 per theta, and a cloud of points that differ only by azimuthal turns costs
 one per distinct theta.
+
+Every Gauss-Legendre rule on an interval is gauss_panels(edges, n), the
+n-point rule on each panel between consecutive edges: the frequency grid
+and its Filon panels, the shells' radial rule, the incident field's
+source-shell integrals and the static core's polar-radius panels.
 """
 
 from __future__ import annotations
@@ -194,6 +199,16 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def gauss_panels(edges, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Composite n-point Gauss-Legendre rule, panel by panel: on each [a, b]
+    between consecutive edges, nodes 0.5 (a + b) + 0.5 (b - a) x and weights
+    0.5 (b - a) w.  A panel with a == b has n nodes at a of zero weight."""
+    x, w = gauss_legendre(n)
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1, None], edges[1:, None]
+    return (0.5 * (a + b) + 0.5 * (b - a) * x).ravel(), (0.5 * (b - a) * w).ravel()
+
+
 def build_surface_grid(shape: StarShape, epsilon: float, n_theta: int, n_phi: int) -> SurfaceGrid:
     """Product quadrature grid on Gamma^eps.
 
@@ -249,8 +264,8 @@ class ShellRegion:
     outer: float
 
     def __post_init__(self):
-        if not (self.outer >= self.inner > 1.0):
-            raise ValueError(f"shell radii must satisfy outer >= inner > 1, got ({self.inner}, {self.outer})")
+        if not (self.outer > self.inner > 1.0):
+            raise ValueError(f"shell radii must satisfy outer > inner > 1, got ({self.inner}, {self.outer})")
 
     @property
     def volume(self) -> float:
@@ -261,13 +276,8 @@ def shell_quadrature(region: ShellRegion, n_r: int, n_ang: int) -> tuple[np.ndar
     """Volumetric rule on the shell: radial GL x (GL in cos(theta) x uniform phi).
 
     Returns (points (M,3), weights (M,)); weights sum to the shell volume.
-    A degenerate shell (inner == outer) yields an empty rule.
     """
-    if region.outer == region.inner:
-        return np.zeros((0, 3)), np.zeros(0)
-    xr, wr = gauss_legendre(n_r)
-    rad = 0.5 * (region.outer + region.inner) + 0.5 * (region.outer - region.inner) * xr
-    wrad = 0.5 * (region.outer - region.inner) * wr
+    rad, wrad = gauss_panels((region.inner, region.outer), n_r)
 
     u, wu = gauss_legendre(n_ang)
     theta = np.arccos(u)

@@ -17,9 +17,10 @@ c = clip(r, r0, R0),
     u_hat(s, r) = exp(-s r) / r * int_{r0}^{c} h(rho) sinh(s rho) / s d rho
                   + sinh(s r) / (s r) * int_{c}^{R0} h(rho) exp(-s rho) d rho,
 
-evaluated by Gauss-Legendre quadrature.  Both integrals depend on r only
-through c, so every radius inside the hole (the whole obstacle trace)
-shares one quadrature; sinh has no cancellation near s = 0 or r = 0.
+evaluated by Gauss-Legendre quadrature on the panels [r0, c] and [c, R0].
+Both integrals depend on r only through c, so every radius inside the hole
+(the whole obstacle trace) shares one quadrature; sinh has no cancellation
+near s = 0 or r = 0.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .geometry import SurfaceGrid, gauss_legendre
+from .geometry import SurfaceGrid, gauss_panels
 
 
 class PulseConfigurationError(ValueError):
@@ -44,6 +45,8 @@ class ShellPulse:
     The profile is radial about its own center (default: the origin, where
     the obstacle family contracts).  An off-origin center puts the obstacle
     in generic position within the field (nonzero gradient at the origin).
+    Every field is stored as plain Python numbers, so pulses compare, hash
+    and print exactly.
     """
 
     r0: float = 2.0
@@ -55,11 +58,18 @@ class ShellPulse:
     def __post_init__(self):
         if not (self.R0 > self.r0 > 1.0):
             raise PulseConfigurationError(f"need R0 > r0 > 1, got r0={self.r0}, R0={self.R0}")
-        if self.k_reg < 0:
-            raise PulseConfigurationError(f"k_reg must be >= 0, got {self.k_reg}")
+        if self.k_reg < 0 or self.k_reg != int(self.k_reg):
+            raise PulseConfigurationError(f"k_reg must be an integer >= 0, got {self.k_reg}")
+        center = np.asarray(self.center, dtype=float)
+        if center.shape != (3,):
+            raise PulseConfigurationError(f"center must be a 3-vector, got {center.shape}")
+        object.__setattr__(self, "center", tuple(center.tolist()))
+        for name, kind in (("r0", float), ("R0", float), ("k_reg", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         if self.amplitude is None:
             width = 0.5 * (self.R0 - self.r0)
             object.__setattr__(self, "amplitude", width ** (-2 * (self.k_reg + 1)))
+        object.__setattr__(self, "amplitude", float(self.amplitude))
 
     @property
     def center_array(self) -> np.ndarray:
@@ -154,11 +164,10 @@ def incident_time(pulse: ShellPulse, t, r):
 
 
 @lru_cache(maxsize=32)
-def _laplace_rule(a: float, b: float, n: int):
-    """Gauss-Legendre rule on [a, b], cached and read-only like gauss_legendre."""
-    x, w = gauss_legendre(n)
-    rho = 0.5 * (b + a) + 0.5 * (b - a) * x
-    wq = 0.5 * (b - a) * w
+def _laplace_rule(r0: float, c: float, R0: float, n: int):
+    """The n-point Gauss rule on the panels [r0, c] and [c, R0] (nodes
+    0..n-1 and n..2n-1), cached and read-only like gauss_legendre."""
+    rho, wq = gauss_panels((r0, c, R0), n)
     rho.flags.writeable = wq.flags.writeable = False
     return rho, wq
 
@@ -191,10 +200,10 @@ def incident_laplace(pulse: ShellPulse, s: complex, r):
     inner = np.empty(c.shape, dtype=complex)
     outer = np.empty(c.shape, dtype=complex)
     for k, ck in enumerate(c):
-        rho, wq = _laplace_rule(pulse.r0, float(ck), n)
-        inner[k] = np.sum(wq * pulse._h_values(rho) * rho * _sinhc(s * rho))
-        rho, wq = _laplace_rule(float(ck), pulse.R0, n)
-        outer[k] = np.sum(wq * pulse._h_values(rho) * np.exp(-s * rho))
+        rho, wq = _laplace_rule(pulse.r0, float(ck), pulse.R0, n)
+        hw = wq * pulse._h_values(rho)
+        inner[k] = np.sum(hw[:n] * rho[:n] * _sinhc(s * rho[:n]))
+        outer[k] = np.sum(hw[n:] * np.exp(-s * rho[n:]))
     inner, outer = inner[which].reshape(r.shape), outer[which].reshape(r.shape)
     # inner vanishes exactly wherever r <= r0, so clamping the divisor
     # there only avoids 0/0 at the origin

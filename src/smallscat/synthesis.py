@@ -32,7 +32,7 @@ from scipy.special import spherical_jn
 
 from . import bem
 from .bem import NearResonanceError, exterior_field, get_static_core
-from .geometry import StarShape, build_surface_grid, gauss_legendre
+from .geometry import StarShape, build_surface_grid, gauss_panels
 from .incident import ShellPulse, incident_trace
 
 logger = logging.getLogger(__name__)
@@ -58,6 +58,11 @@ class ScatteringScenario:
     n_theta: int = 20
     n_phi: int = 40
 
+    def __post_init__(self):
+        # plain numbers: equal scenarios have one repr, so one content hash
+        for name, kind in (("epsilon", float), ("n_theta", int), ("n_phi", int)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+
     def content_hash(self, omega_max: float, n_omega: int) -> str:
         """Key of this scenario's table on the grid of
         build_frequency_grid(omega_max, n_omega): the scenario's exact repr
@@ -76,8 +81,8 @@ class FrequencyTable:
     nodes, except that a node moved off a near-resonance stays inside its
     panel, between its neighbours.  panel_edges record the composite
     structure the Filon inversion fits on; weights are the plain Gauss
-    weights of the unmoved grid, kept for callers that compare tables, and
-    are not used by the inversion.
+    weights of the unmoved grid (gauss_panels on panel_edges), kept for
+    callers that compare tables, and are not used by the inversion.
     """
 
     omegas: np.ndarray           # (n,)
@@ -136,7 +141,7 @@ class FrequencyTable:
                              f"of {p} points per node")
         omegas = block[:, 0, 0].copy()
         values = block[:, :, 2] + 1j * block[:, :, 3]
-        weights = _panel_weights(panel_edges, len(omegas))
+        _, weights = gauss_panels(panel_edges, len(omegas) // (len(panel_edges) - 1))
         return FrequencyTable(omegas=omegas, weights=weights, panel_edges=panel_edges,
                               points=points, values=values, scenario_hash=scenario_hash)
 
@@ -199,22 +204,12 @@ def _points_digest(points: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(points, dtype=float).tobytes()).hexdigest()[:12]
 
 
-def _panel_weights(edges: np.ndarray, n_total: int) -> np.ndarray:
-    n_per = n_total // (len(edges) - 1)
-    _, wg = gauss_legendre(n_per)
-    return np.concatenate([0.5 * (b - a) * wg for a, b in zip(edges[:-1], edges[1:])])
-
-
 def build_frequency_grid(omega_max: float, n_omega: int):
     """Composite Gauss panels: nodes, weights, edges.  n_omega is rounded up
     to a multiple of the panel order."""
     n_panels = max(1, math.ceil(n_omega / GL_PER_PANEL))
     edges = np.linspace(0.0, omega_max, n_panels + 1)
-    xg, _ = gauss_legendre(GL_PER_PANEL)
-    nodes = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * xg
-                            for a, b in zip(edges[:-1], edges[1:])])
-    weights = _panel_weights(edges, n_panels * GL_PER_PANEL)
-    return nodes, weights, edges
+    return (*gauss_panels(edges, GL_PER_PANEL), edges)
 
 
 def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,

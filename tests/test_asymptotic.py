@@ -86,6 +86,9 @@ def test_singularity_guard(model):
         point_scatterer_time(model, 1.0, np.zeros(3))
     with pytest.raises(SingularEvaluationError):
         point_scatterer_frequency(model, 1.0, np.zeros(3))
+    grid = build_surface_grid(StarShape.sphere(), 0.1, 8, 16)
+    with pytest.raises(SingularEvaluationError):
+        apply_S_app(grid, np.ones(grid.n_nodes), 1.0, np.array([[1.0, 0, 0], [0, 0, 0]]))
 
 
 # -- approximate single layer -------------------------------------------------

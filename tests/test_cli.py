@@ -357,6 +357,15 @@ def test_shape_and_pulse_validation_become_config_errors():
         parse_config_text("shell.r_ff = 0.2\n")
 
 
+@pytest.mark.parametrize("key", ["shape.center", "pulse.center"])
+@pytest.mark.parametrize("value", ["0.1, 0", "0.1, 0, 0, 0"])
+def test_center_of_other_length_names_its_key(key, value):
+    # the shape and pulse constructors check the length; the error names the key
+    from smallscat.config import parse_config_text
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text(f"{key} = {value}\n")
+
+
 def test_degenerate_shell_rejected(tmp_path, capsys):
     # an empty shell rule used to crash the sweep in evaluate_potential
     with pytest.raises(ConfigError, match="shell.R_ff"):

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import sph_harm_y
 
 from smallscat.geometry import (
-    ShapeInvalidError, ShellRegion, StarShape, build_surface_grid, shell_quadrature,
+    ShapeInvalidError, ShellRegion, StarShape, build_surface_grid, gauss_panels, shell_quadrature,
 )
 
 SPHERE_AREA = 4.0 * math.pi
@@ -138,6 +138,25 @@ def test_harmonic_values_on_broadcast_angles():
     assert np.max(np.abs(rp - (shape.radial(th, ph + h) - shape.radial(th, ph - h)) / (2 * h))) < 1e-8
 
 
+# -- composite Gauss rule ----------------------------------------------------
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_gauss_panels_exact_to_degree_2n_minus_1(n):
+    # unequal panels, one of them of zero width: every polynomial of degree
+    # 2n - 1 is integrated exactly over [edges[0], edges[-1]]
+    edges = np.array([-0.7, -0.2, -0.2, 0.9, 2.6])
+    nodes, weights = gauss_panels(edges, n)
+    assert nodes.shape == weights.shape == (n * (len(edges) - 1),)
+    rng = np.random.default_rng(n)
+    poly = np.polynomial.Polynomial(rng.standard_normal(2 * n))
+    exact = poly.integ()(edges[-1]) - poly.integ()(edges[0])
+    assert np.sum(weights * poly(nodes)) == pytest.approx(exact, rel=1e-13, abs=1e-13)
+    # panel by panel, too: each panel's n nodes lie inside it
+    for k, (a, b) in enumerate(zip(edges[:-1], edges[1:])):
+        panel = slice(k * n, (k + 1) * n)
+        assert np.all((nodes[panel] >= a) & (nodes[panel] <= b))
+        assert np.sum(weights[panel]) == pytest.approx(b - a, abs=1e-15)
+
+
 # -- shell quadrature --------------------------------------------------------
 def test_shell_volume():
     region = ShellRegion(2.0, 3.0)
@@ -145,9 +164,10 @@ def test_shell_volume():
     assert abs(np.sum(w) - 4.0 * math.pi / 3.0 * 19.0) < 1e-8
 
 
-def test_shell_degenerate_empty():
-    pts, w = shell_quadrature(ShellRegion(2.0, 2.0), 6, 4)
-    assert len(w) == 0 and pts.shape == (0, 3)
+def test_shell_degenerate_rejected():
+    # a shell needs outer > inner: an empty shell has no rule and no norm
+    with pytest.raises(ValueError, match="outer > inner"):
+        ShellRegion(2.0, 2.0)
 
 
 def test_shell_constant_integrand():

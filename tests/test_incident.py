@@ -37,6 +37,25 @@ def test_pulse_validation():
         ShellPulse(r0=0.5, R0=3.0)
     with pytest.raises(PulseConfigurationError):
         ShellPulse(k_reg=-1)
+    with pytest.raises(PulseConfigurationError):
+        ShellPulse(k_reg=2.5)
+    for center in ((0.5, 0.0), (0.5, 0.0, 0.0, 0.0)):
+        with pytest.raises(PulseConfigurationError, match="3-vector"):
+            ShellPulse(center=center)
+
+
+def test_pulse_stores_plain_numbers():
+    # a list or numpy center and numpy scalars give the pulse of plain
+    # Python numbers: equal, hashable and of one repr
+    plain = ShellPulse(r0=2.0, R0=3.0, k_reg=7, center=(0.5, 0.0, 0.0))
+    mixed = ShellPulse(r0=np.float64(2.0), R0=np.float32(3.0), k_reg=np.int64(7),
+                       center=[0.5, 0, 0])
+    assert mixed == plain and hash(mixed) == hash(plain) and repr(mixed) == repr(plain)
+    assert ShellPulse(center=np.array([0.5, 0.0, 0.0])) == ShellPulse(center=(0.5, 0.0, 0.0))
+    assert type(ShellPulse(amplitude=np.float64(2.0)).amplitude) is float
+    # the default amplitude is computed from the stored floats
+    assert ShellPulse(r0=np.float32(2.1), R0=np.float32(2.9)) == ShellPulse(
+        r0=float(np.float32(2.1)), R0=float(np.float32(2.9)))
 
 
 # -- time domain -------------------------------------------------------------
@@ -45,7 +64,7 @@ def test_shared_gauss_rules_are_read_only():
     # every later caller's rule
     x, w = gauss_legendre(8)
     assert gauss_legendre(8)[0] is x
-    for arr in (x, w, *_laplace_rule(2.0, 3.0, 48)):
+    for arr in (x, w, *_laplace_rule(2.0, 2.5, 3.0, 48)):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0.0
 

@@ -75,10 +75,6 @@ def test_shell_norm_homogeneous():
         7.0 * shell_norm(field), rel=1e-14)
 
 
-def test_shell_norm_degenerate_region():
-    assert shell_norm(lambda pts: np.ones(len(pts)), ShellRegion(2.0, 2.0)) == 0.0
-
-
 def test_shell_norm_of_history_is_rowwise():
     pts, w = shell_quadrature(REGION, 8, 6)
     history = np.stack([np.full(len(pts), 2.0), 1.0 / np.linalg.norm(pts, axis=1)])

@@ -14,7 +14,8 @@ from smallscat import bem, synthesis
 from smallscat.asymptotic import PointScattererModel, point_scatterer_time
 from smallscat.bem import NearResonanceError, capacitance
 from smallscat.cli import _cached_table
-from smallscat.geometry import StarShape
+from smallscat.geometry import StarShape, gauss_panels
+from smallscat.incident import ShellPulse
 from smallscat.sphere_oracle import (
     SphereScenario, sphere_scattered_frequency, sphere_scattered_time,
 )
@@ -53,6 +54,32 @@ def test_frequency_grid_structure():
     assert len(nodes) == 400 and len(edges) == 51
     assert np.all(np.diff(nodes) > 0) and nodes[0] > 0.0
     assert np.sum(weights) == pytest.approx(40.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("omega_max, n_omega", [(40.0, 400), (10.0, 16), (40.0, 16)])
+def test_frequency_grid_is_the_composite_gauss_rule(omega_max, n_omega):
+    nodes, weights, edges = build_frequency_grid(omega_max, n_omega)
+    assert np.array_equal(edges, np.linspace(0.0, omega_max, len(edges)))
+    panel_nodes, panel_weights = gauss_panels(edges, synthesis.GL_PER_PANEL)
+    assert np.array_equal(nodes, panel_nodes) and np.array_equal(weights, panel_weights)
+    # reference: the map written out panel by panel, as stored tables were
+    # built; the same operations in the same order give the same bits
+    x, w = np.polynomial.legendre.leggauss(synthesis.GL_PER_PANEL)
+    panels = list(zip(edges[:-1], edges[1:]))
+    assert np.array_equal(nodes, np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x
+                                                 for a, b in panels]))
+    assert np.array_equal(weights, np.concatenate([0.5 * (b - a) * w for a, b in panels]))
+
+
+def test_loaded_table_weights_are_the_grid_weights(table, tmp_path):
+    # load_csv rebuilds the weights from the stored panel edges
+    path = tmp_path / "table.csv"
+    table.save_csv(path)
+    loaded = FrequencyTable.load_csv(path, table.points)
+    _, weights, edges = build_frequency_grid(40.0, 200)
+    assert np.array_equal(loaded.panel_edges, edges)
+    assert np.array_equal(loaded.weights, weights) and np.array_equal(table.weights, weights)
+    assert np.array_equal(loaded.weights, gauss_panels(edges, synthesis.GL_PER_PANEL)[1])
 
 
 def test_table_matches_oracle_columnwise(table, oracle):
@@ -350,6 +377,17 @@ def test_table_key_changes_with_every_field(pulse):
     keys = {path: changed.content_hash(10.0, 16) for path, changed in field_variants(base)}
     assert {"shape.harmonics", "pulse.k_reg", "epsilon"} <= set(keys)
     assert len(set(keys.values()) | {base.content_hash(10.0, 16)}) == len(keys) + 1
+
+
+def test_equal_scenarios_share_one_key():
+    # numpy scalars are stored as plain numbers, so a scenario equal to
+    # another has its key too
+    plain = ScatteringScenario(StarShape.sphere(), 0.1, ShellPulse(), n_theta=12, n_phi=24)
+    mixed = ScatteringScenario(StarShape.sphere(), np.float64(0.1), ShellPulse(),
+                               n_theta=np.int64(12), n_phi=np.int32(24))
+    assert mixed == plain and repr(mixed) == repr(plain)
+    assert mixed.content_hash(10.0, 16) == plain.content_hash(10.0, 16)
+    hash(ScatteringScenario(StarShape.sphere(), 0.1, ShellPulse(center=[0.5, 0, 0])))
 
 
 def test_table_key_is_the_frequency_grid_not_its_request(scenario):
