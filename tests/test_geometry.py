@@ -164,7 +164,7 @@ def test_shell_volume():
     assert abs(np.sum(w) - 4.0 * math.pi / 3.0 * 19.0) < 1e-8
 
 
-def test_shell_degenerate_rejected():
+def test_shell_degenerate_empty():
     # a shell needs outer > inner: an empty shell has no rule and no norm
     with pytest.raises(ValueError, match="outer > inner"):
         ShellRegion(2.0, 2.0)

@@ -75,6 +75,18 @@ def test_shell_norm_homogeneous():
         7.0 * shell_norm(field), rel=1e-14)
 
 
+def test_shell_norm_degenerate_region():
+    # a zero-width shell cannot be built; as a shell thins, the norm of a
+    # constant stays sqrt(volume) and tends to 0
+    with pytest.raises(ValueError, match="outer > inner"):
+        ShellRegion(2.0, 2.0)
+    for h in (1e-2, 1e-4, 1e-6):
+        region = ShellRegion(2.0, 2.0 + h)
+        norm = shell_norm(lambda pts: np.ones(len(pts)), region)
+        assert norm == pytest.approx(math.sqrt(region.volume), rel=1e-12)
+    assert norm < 1e-2
+
+
 def test_shell_norm_of_history_is_rowwise():
     pts, w = shell_quadrature(REGION, 8, 6)
     history = np.stack([np.full(len(pts), 2.0), 1.0 / np.linalg.norm(pts, axis=1)])
