@@ -49,12 +49,13 @@ and the solution refined against the double-precision matrix until its
 backward error is at double-precision level.  The single-precision factors
 are written over |A|, the float64 array its norms are taken from, so a
 solve makes no other N x N array for them and no caller holds scratch.
-When the estimate exceeds MIXED_CONDITION_LIMIT, a decade below the sweep's
-condition gate CONDITION_LIMIT, or refinement does not converge, the matrix
-is factored again in double precision, so every gate decision near its
-limit rests on double-precision factors.  A real matrix with complex data
-is solved in real arithmetic, with the real and imaginary parts as two
-right-hand sides.
+When the estimate exceeds MIXED_CONDITION_LIMIT or refinement does not
+converge, the matrix is factored again in double precision, so an
+ill-conditioned node is solved, and its condition estimated, on
+double-precision factors.  A solve is rejected (NearResonanceError) only by
+its residual check or an exactly singular pivot; the condition estimate is
+recorded, never gated on.  A real matrix with complex data is solved in real
+arithmetic, with the real and imaginary parts as two right-hand sides.
 
 Off-surface evaluation takes point-node distances from the Gram form
 |x|^2 + |y|^2 - 2 x.y (one BLAS product, clamped at 0) and the kernel in
@@ -90,11 +91,10 @@ N_ALPHA = 16
 STENCIL_MARGIN = 2
 
 RESIDUAL_TOL = 1e-10
-# the sweep's condition gate.  The single-precision LU serves while its
-# condition estimate stays a decade below it, with at most LAPACK's ITERMAX
-# refinement steps; otherwise the double-precision LU decides.
-CONDITION_LIMIT = 1e6
-MIXED_CONDITION_LIMIT = CONDITION_LIMIT / 10
+# the single-precision LU serves while its condition estimate stays at or
+# below this, with at most LAPACK's ITERMAX refinement steps; otherwise the
+# double-precision LU solves
+MIXED_CONDITION_LIMIT = 1e5
 REFINE_MAX_ITER = 30
 NEAR_FIELD_FACTOR = 2.0
 
@@ -485,8 +485,8 @@ def _lu_solve_with_cond(A: np.ndarray, B: np.ndarray):
     need anyway, so the solve makes no other N x N array for its factors,
     and X is refined to double-precision backward error (`_refine`).  The
     double-precision LU is used instead when the single-precision estimate
-    exceeds MIXED_CONDITION_LIMIT or refinement does not converge, so every
-    condition gate near its limit is decided on double-precision factors.
+    exceeds MIXED_CONDITION_LIMIT or refinement does not converge, so an
+    ill-conditioned matrix is solved on double-precision factors.
     Both precisions factor the F-ordered view A.T (no transposing copy) and
     solve with trans=1.
 

@@ -336,7 +336,7 @@ def cmd_theorem2(config: ExperimentConfig, manifest: RunManifest, prepared=None,
     """Model-error scaling ||u_app - u_sc||(t0) ~ eps^2 and the same tail check."""
     pts, _ = _observation_rule(config)
     if c1 is None:
-        c1 = bem.capacitance(config.shape).c1
+        c1 = bem.capacitance(config.shape, *CAPACITANCE_STUDY[-1]).c1
 
     def model_error(eps, times, u_sc):
         model = PointScattererModel(c_eps=eps * c1, pulse=config.pulse)
@@ -387,7 +387,6 @@ def cmd_all(config: ExperimentConfig, manifest: RunManifest):
     cmd_checks(config, manifest)
     prepared = cmd_synthesize(config, manifest)
     cmd_theorem1(config, manifest, prepared=prepared)
-    # the study's finest resolution is bem.capacitance's default one
     cmd_theorem2(config, manifest, prepared=prepared, c1=caps[-1].c1)
 
 

@@ -167,6 +167,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigError("key 'epsilons' must list at least one scale")
     if not all(0.0 < eps <= 1.0 for eps in epsilons):
         raise ConfigError(f"key 'epsilons': every scale must lie in (0, 1], got {epsilons}")
+    if len(set(epsilons)) < len(epsilons):
+        raise ConfigError(f"key 'epsilons': every scale must be listed once, got {epsilons}")
     try:
         shell = ShellRegion(fnum("shell.r_ff"), fnum("shell.R_ff"))
     except ValueError as exc:

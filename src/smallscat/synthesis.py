@@ -10,11 +10,10 @@ using the conjugate symmetry u_hat(-i omega) = conj(u_hat(i omega)) of real
 signals.  Every panel is integrated Filon-style: the samples it holds are
 fitted by their Legendre interpolant, whose oscillatory moments
 int P_k(x) exp(i kappa x) dx = 2 i^k j_k(kappa) are exact spherical Bessel
-values for every kappa, t = 0 included, so accuracy is uniform in t and a
-node moved off a near-resonance needs no other rule.  For smooth compactly
-supported C^k data the integrand decays like omega^-(k+1), which makes the
-truncated imaginary-axis synthesis converge without any contour
-preconditioning.
+values for every kappa, t = 0 included, so accuracy is uniform in t.  For
+smooth compactly supported C^k data the integrand decays like
+omega^-(k+1), which makes the truncated imaginary-axis synthesis converge
+without any contour preconditioning.
 """
 
 from __future__ import annotations
@@ -30,8 +29,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import spherical_jn
 
-from . import bem
-from .bem import NearResonanceError, exterior_field, get_static_core
+from .bem import exterior_field, get_static_core
 from .geometry import StarShape, build_surface_grid, gauss_panels
 from .incident import ShellPulse, incident_trace
 
@@ -77,12 +75,10 @@ class ScatteringScenario:
 class FrequencyTable:
     """Sampled integrand u_hat_sc(i omega_j, x_k) of the synthesis integral.
 
-    omegas are the nodes the sweep used, in panel order: the composite Gauss
-    nodes, except that a node moved off a near-resonance stays inside its
-    panel, between its neighbours.  panel_edges record the composite
-    structure the Filon inversion fits on; weights are the plain Gauss
-    weights of the unmoved grid (gauss_panels on panel_edges), kept for
-    callers that compare tables, and are not used by the inversion.
+    omegas are the composite Gauss nodes, in panel order.  panel_edges
+    record the composite structure the Filon inversion fits on; weights are
+    the Gauss weights (gauss_panels on panel_edges), kept for callers that
+    compare tables, and are not used by the inversion.
     """
 
     omegas: np.ndarray           # (n,)
@@ -139,9 +135,13 @@ class FrequencyTable:
                 or np.any(block[:, :, 0] != block[:, :1, 0])):
             raise ValueError(f"{path}: rows do not form a complete omega-major block "
                              f"of {p} points per node")
+        n_panels = len(panel_edges) - 1
+        if n_panels < 1 or n % n_panels:
+            raise ValueError(f"{path}: {len(panel_edges)} panel edges do not split "
+                             f"{n} nodes into whole panels")
         omegas = block[:, 0, 0].copy()
         values = block[:, :, 2] + 1j * block[:, :, 3]
-        _, weights = gauss_panels(panel_edges, len(omegas) // (len(panel_edges) - 1))
+        _, weights = gauss_panels(panel_edges, n // n_panels)
         return FrequencyTable(omegas=omegas, weights=weights, panel_edges=panel_edges,
                               points=points, values=values, scenario_hash=scenario_hash)
 
@@ -222,13 +222,9 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
     thread, and the results come back in node order whatever the worker
     count.  The threads share the grid and its static core and nothing else:
     each solve factors in memory of its own (`bem._lu_solve_with_cond`).
-    If a solve's condition estimate exceeds bem.CONDITION_LIMIT or the solve
-    fails its residual check, the node is retried (logged) three quarters of
-    the way to the edge of its cell, first on the roomier side, which faces
-    the panel centre, then on the other.  Cells are disjoint and lie inside
-    the panels, so a moved node stays inside its panel and between its
-    neighbours.  A node that fails all three tries raises
-    NearResonanceError, and the nodes not yet started are cancelled.
+    Every node is solved where the Gauss rule puts it.  A node whose solve
+    fails its residual check raises NearResonanceError, which names s, and
+    the nodes not yet started are cancelled.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if len(points) == 0:
@@ -236,30 +232,10 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
     nodes, weights, edges = build_frequency_grid(omega_max, n_omega)
     grid = build_surface_grid(scenario.shape, scenario.epsilon,
                               scenario.n_theta, scenario.n_phi)
-    # a node's cell runs to the midpoints with its neighbours; by the Gauss
-    # symmetry the midpoint across two panels is their common edge
-    cells = np.concatenate([edges[:1], 0.5 * (nodes[1:] + nodes[:-1]), edges[-1:]])
 
-    def solve(j: int):
-        omega, lo, hi = float(nodes[j]), float(cells[j]), float(cells[j + 1])
-        near, far = sorted((lo, hi), key=lambda edge: abs(edge - omega))
-        tries = (omega, omega + 0.75 * (far - omega), omega + 0.75 * (near - omega))
-        for om in tries:
-            s = 1j * om
-            try:
-                values, diag = exterior_field(grid, s, -incident_trace(scenario.pulse, s, grid),
-                                              points)
-            except NearResonanceError as exc:
-                # the message only: a kept record must not pin the grid
-                # through the exception's traceback
-                logger.warning("sweep node omega=%.6f near-resonant (%s)", om, str(exc))
-                continue
-            if diag.condition_estimate > bem.CONDITION_LIMIT:
-                logger.warning("sweep node omega=%.6f near-resonant (condition estimate "
-                               "%.3e above limit)", om, diag.condition_estimate)
-                continue
-            return om, values, diag
-        raise NearResonanceError(f"sweep node omega={omega} failed at all of {tries}")
+    def solve(omega: float):
+        s = 1j * omega
+        return exterior_field(grid, s, -incident_trace(scenario.pulse, s, grid), points)
 
     # the static core is built once, before any node starts.  One worker is
     # the calling thread: glibc returns a pool thread's malloc arena to the
@@ -268,11 +244,10 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
     # caller's heap
     get_static_core(grid)
     if workers == 1:
-        used, rows, diags = zip(*map(solve, range(len(nodes))))
+        rows, diags = zip(*map(solve, nodes.tolist()))
     else:
         with ThreadPoolExecutor(workers) as pool:
-            used, rows, diags = zip(*pool.map(solve, range(len(nodes))))
-    omegas = np.array(used)
+            rows, diags = zip(*pool.map(solve, nodes.tolist()))
     values = np.array(rows)
     worst = max(diags, key=lambda diag: diag.condition_estimate)
     logger.info("sweep eps=%.3g: %d nodes, worst condition estimate %.3e (%s-precision factors)",
@@ -285,7 +260,7 @@ def frequency_sweep(scenario: ScatteringScenario, points: np.ndarray,
             f"frequency tail not resolved: last-panel magnitude {tail:.2e} vs peak {peak:.2e}; "
             f"increase omega_max", stacklevel=2)
 
-    return FrequencyTable(omegas=omegas, weights=weights, panel_edges=edges,
+    return FrequencyTable(omegas=nodes, weights=weights, panel_edges=edges,
                           points=points, values=values,
                           scenario_hash=scenario.content_hash(omega_max, n_omega))
 

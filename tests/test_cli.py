@@ -217,6 +217,24 @@ def test_cmd_all_solves_each_capacitance_once(tmp_path, monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:frequency tail not resolved")
+def test_theorem2_alone_uses_the_studys_finest_capacitance(tmp_path, monkeypatch):
+    # run alone, theorem 2 solves c1 at the resolution `all` takes it from:
+    # the capacitance study's finest entry
+    monkeypatch.setattr(cli, "CAPACITANCE_STUDY", ((6, 12), (10, 20)))
+    real_capacitance = bem.capacitance
+    calls = []
+
+    def spy(shape, *resolution):
+        calls.append(resolution)
+        return real_capacitance(shape, *resolution)
+
+    monkeypatch.setattr(bem, "capacitance", spy)
+    cfg = parse_config_text(TINY_CONFIG.replace("epsilons = 0.1", "epsilons = 0.1, 0.2"))
+    run_command("theorem2", cfg, tmp_path)
+    assert calls == [(10, 20)]
+
+
+@pytest.mark.filterwarnings("ignore:frequency tail not resolved")
 def test_sweep_outputs_deterministic(tmp_path):
     cfg = parse_config_text(TINY_CONFIG)
     out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -384,7 +402,10 @@ def test_degenerate_shell_rejected(tmp_path, capsys):
     # one scale: no slope to fit
     ("checks", "epsilons = 0.04\n", "epsilons"),
     ("theorem1", "epsilons = 0.04\n", "epsilons"),
-    ("all", "epsilons = 0.04\n", "epsilons")])
+    ("all", "epsilons = 0.04\n", "epsilons"),
+    # a repeated scale: two points of the fit on one abscissa
+    ("theorem2", "epsilons = 0.02, 0.02\n", "epsilons"),
+    ("checks", "epsilons = 0.02, 0.04, 0.02\n", "epsilons")])
 def test_unfittable_config_rejected_before_any_work(tmp_path, capsys, command, text, key):
     cfg = tmp_path / "unfittable.cfg"
     cfg.write_text(TINY_CONFIG + text)
