@@ -25,14 +25,28 @@ assembled once per grid ("static core") with a singularity correction: the
 kernel is blended into a long-range piece that is smooth in the squared
 distance (spectral under the plain product rule) and a localized singular
 piece integrated per collocation node in rotated polar coordinates (the
-polar Jacobian cancels the 1/|x-y| singularity).  Within the cap the
-density is reconstructed from grid values by trigonometric interpolation
-along each phi-ring and barycentric Lagrange interpolation across
-theta-rings (through-pole continuation handled by reflection).  The nodes
-of a theta-ring share one such stencil through the azimuthal turn: it is
-built once per ring and applied one source ring at a time.  The same
-pass builds a second correction matrix for the kernel |x-y|, which repairs
-the remainder's leading odd term s^2 |x-y| / 2 at every frequency for free.
+polar Jacobian cancels the 1/|x-y| singularity).  The far part takes the
+squared node distances from three contiguous coordinate differences and
+one exponential exp(-d^2/W^2) per node pair, shared by the blend and the
+windowed |x-y| kernel; it is bit-identical to a full fill.  Within the cap
+a point at polar angle gamma about node x_b, at radius r_q, lies at
+
+    |y - x_b| = eps sqrt((r_q - r_b)^2 + r_q r_b 4 sin^2(gamma / 2))
+
+(the law of cosines in the star's frame: the centre cancels, and nothing
+cancels near the node), and the density is reconstructed from grid values
+by trigonometric interpolation along each phi-ring and barycentric
+Lagrange interpolation across theta-rings (through-pole continuation
+handled by reflection).  A reflected row is read half a turn away, so for
+even n_phi its azimuthal weights are those of the direct rows rolled by
+n_phi / 2; odd n_phi evaluates them directly.  The nodes of a theta-ring
+share one such stencil through the azimuthal turn: it is built once per
+ring, applied one source ring at a time and turned to each node by one
+precomputed flat gather.  This local part agrees with Cartesian cap
+distances and directly evaluated weights to rounding, not to the bit.
+The same pass builds a second correction matrix for the kernel |x-y|,
+which repairs the remainder's leading odd term s^2 |x-y| / 2 at every
+frequency for free.
 
 The static kernel is homogeneous under the dilation x -> eps x, and so is
 the window width: the scale-eps core is the unit core with `matrix` times
@@ -126,12 +140,6 @@ def _window_width(grid: SurfaceGrid) -> float:
     h = max(math.pi / grid.n_theta, 2.0 * math.pi / grid.n_phi)
     metric = grid.jacobian / grid.radial_values      # sqrt(r^2 + r_t^2 + (r_p/sin)^2)
     return WINDOW_FACTOR * h * grid.epsilon * float(np.max(metric))
-
-
-def _q_blend(d2: np.ndarray, W: float) -> np.ndarray:
-    """Smooth long-range part q_W(d^2) of the static kernel (without 1/4pi)."""
-    W2 = W * W
-    return 1.0 / np.sqrt(d2 + W2 * np.exp(-d2 / W2))
 
 
 def _local_difference_kernel(dist: np.ndarray, W: float) -> np.ndarray:
@@ -228,19 +236,24 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
     matrix = np.empty((N, N))
     cmat = np.empty((N, N))
     dist = np.empty((N, N))
+    x, y, z = (np.ascontiguousarray(grid.nodes[:, k]) for k in range(3))
 
     def far(block):
         rows, cols = block
-        diff = grid.nodes[rows, None, :] - grid.nodes[None, cols, :]
-        d2 = np.sum(np.square(diff, out=diff), axis=-1)     # squared in place
-        del diff
+        # d2 = (dx^2 + dy^2) + dz^2 from contiguous coordinate differences
+        d2 = np.square(x[rows, None] - x[None, cols])
+        for coord in (y, z):
+            diff = coord[rows, None] - coord[None, cols]
+            d2 += np.square(diff, out=diff)
         # the block's columns start at its first row: every unordered pair
         # of nodes is checked in the block of the lower-numbered one
         if np.min(d2 + np.eye(*d2.shape)) <= 0.0:
             raise GridDegenerateError("coincident distinct grid nodes")
         np.sqrt(d2, out=dist[block])
-        matrix[block] = _q_blend(d2, W)
-        cmat[block] = -np.exp(-d2 / W2) * dist[block]
+        # one exponential serves q_W(d^2) and the windowed kernel d
+        e = np.exp(-d2 / W2)
+        matrix[block] = 1.0 / np.sqrt(d2 + W2 * e)
+        cmat[block] = -e * dist[block]
 
     _fill_symmetric(far, matrix, cmat, dist)
     matrix *= grid.weights[None, :]
@@ -264,14 +277,19 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
                           np.sin(gq) * np.sin(AA.ravel()),
                           np.cos(gq)], axis=1)                    # (nq, 3)
     wq = (np.outer(wgam, np.full(N_ALPHA, w_alpha)).ravel()) * np.sin(gq)
-    nq = len(gq)
+    # squared unit chord 4 sin^2(gamma/2) between a node's direction and
+    # its cloud points' directions
+    chord2 = np.square(2.0 * np.sin(0.5 * gq))
 
     theta_ext, ext_rows, ext_flags = _extended_theta(grid)
     span = gamma_max + STENCIL_MARGIN * np.max(np.diff(grid.theta))
     n_theta, n_phi = grid.n_theta, grid.n_phi
     fold_ext = (ext_rows[:, None] == np.arange(n_theta)[None, :]).astype(float)
-    # turn[b, c] = (c - b) mod n_phi: the phi-column read by node b of a ring
-    turn = (np.arange(n_phi)[None, :] - np.arange(n_phi)[:, None]) % n_phi
+    # (c - b) mod n_phi is the phi-column read by node b of a ring; `turn`
+    # holds it as flat indices into the (2 n_phi, n_phi) product of a ring's
+    # two kernels with a stencil, row k being node k mod n_phi
+    k = np.arange(2 * n_phi)[:, None]
+    turn = k * n_phi + (np.arange(n_phi)[None, :] - k) % n_phi
     # All nodes of a theta-ring share one interpolation stencil through the
     # azimuthal turn: theta* is ring-invariant and phi* shifts by the node
     # azimuth, so the stencil is built once per ring at phi = 0 and each
@@ -295,24 +313,23 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
         R0 = L[:, ~flags] @ fold[~flags]                           # (nq, n_theta)
         R1 = L[:, flags] @ fold[flags]
         T0 = _trig_interp_weights(n_phi, ph_q0)                    # (nq, n_phi)
-        T1 = _trig_interp_weights(n_phi, ph_q0 + math.pi)
+        # x + pi - 2 pi c / n = x - 2 pi (c - n/2) / n: for even n the
+        # reflected rows' weights are T0 turned by half a revolution
+        T1 = (np.roll(T0, n_phi // 2, axis=1) if n_phi % 2 == 0
+              else _trig_interp_weights(n_phi, ph_q0 + math.pi))
 
-        # ring geometry: rotate the phi=0 cloud to every azimuth at once
-        cb, sb = np.cos(grid.phi), np.sin(grid.phi)
-        ydirs = np.empty((n_phi, nq, 3))
-        ydirs[:, :, 0] = cb[:, None] * ydirs0[None, :, 0] - sb[:, None] * ydirs0[None, :, 1]
-        ydirs[:, :, 1] = sb[:, None] * ydirs0[None, :, 0] + cb[:, None] * ydirs0[None, :, 1]
-        ydirs[:, :, 2] = ydirs0[None, :, 2]
         ph_q = (ph_q0[None, :] + grid.phi[:, None]) % (2.0 * math.pi)
         # theta is ring-invariant: each harmonic's Legendre factor is
         # evaluated once on the (nq,) cloud and turned in phi by broadcasting
         r_q, rt_q, rp_q = grid.shape.radial_derivatives(th_q, ph_q)   # (n_phi, nq)
         rp_over = rp_q / np.maximum(np.sin(th_q), 1e-300)
         jac_q = r_q * np.sqrt(r_q ** 2 + rt_q ** 2 + rp_over ** 2)
-        ypts = grid.epsilon * (np.asarray(grid.shape.center) + r_q[..., None] * ydirs)
 
+        # |y_q - x_b| by the law of cosines in the star's own frame: the
+        # centre cancels, and nothing cancels near the node
         node_slice = slice(a * n_phi, (a + 1) * n_phi)
-        dist_q = np.linalg.norm(ypts - grid.nodes[node_slice][:, None, :], axis=2)
+        r_b = grid.radial_values[node_slice, None]
+        dist_q = grid.epsilon * np.sqrt(np.square(r_q - r_b) + r_q * r_b * chord2)
         base = wq[None, :] * jac_q * eps2
         kernels = np.concatenate([base * _local_difference_kernel(dist_q, W) / (4.0 * math.pi),
                                   base * np.exp(-dist_q * dist_q / W2) * dist_q])  # (2 n_phi, nq)
@@ -322,9 +339,9 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
         rows_c = cmat[node_slice].reshape(n_phi, n_theta, n_phi)
         for t in np.flatnonzero(fold.any(axis=0)):
             w_t = R0[:, t, None] * T0 + R1[:, t, None] * T1             # (nq, n_phi)
-            part = np.take_along_axis((kernels @ w_t).reshape(2, n_phi, n_phi), turn[None], axis=2)
-            rows_m[:, t] += part[0]
-            rows_c[:, t] += part[1]
+            part = np.take(kernels @ w_t, turn)
+            rows_m[:, t] += part[:n_phi]
+            rows_c[:, t] += part[n_phi:]
 
     return _StaticCore(matrix=matrix, linear_correction=cmat, distances=dist)
 

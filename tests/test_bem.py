@@ -156,19 +156,38 @@ def test_triangle_fill_is_bit_identical_to_dense(shape_name, res):
         assert np.array_equal(got.real, re) and np.array_equal(got.imag, im)
 
 
-@pytest.mark.parametrize("l, m", [(1, 1), (2, -1), (3, 2), (4, 3)])
-def test_sphere_harmonics_are_eigenvectors(sphere_grid, l, m):
-    # S(s) Y_lm = lambda_l(s) Y_lm on the unit sphere.  A non-constant,
-    # azimuth-odd density checks that the local correction reaches every
-    # node of a ring with the right turn (the sine-type (2, -1) catches a
-    # reversed one); s = 2i also exercises the linear correction.
-    TH, PH = np.meshgrid(sphere_grid.theta, sphere_grid.phi, indexing="ij")
+HARMONICS = [(1, 1), (2, -1), (3, 2), (4, 3)]
+
+
+def _assert_harmonic_is_eigenvector(grid, l, m):
+    # S(s) Y_lm = lambda_l(s) Y_lm on the unit sphere; s = 2i also exercises
+    # the linear correction
+    TH, PH = np.meshgrid(grid.theta, grid.phi, indexing="ij")
     y = sph_harm_y(l, abs(m), TH.ravel(), PH.ravel())
     Y = np.real(y) if m >= 0 else np.imag(y)
     for s, lam, tol in ((0.0, 1.0 / (2 * l + 1), 1e-7),
                         (2j, 2.0 / math.pi * 2j * spherical_in(l, 2j) * spherical_kn(l, 2j), 1e-4)):
-        SY = assemble_single_layer(sphere_grid, s).matrix @ Y
+        SY = assemble_single_layer(grid, s).matrix @ Y
         assert np.max(np.abs(SY - lam * Y)) < tol * np.max(np.abs(lam * Y))
+
+
+@pytest.mark.parametrize("l, m", HARMONICS)
+def test_sphere_harmonics_are_eigenvectors(sphere_grid, l, m):
+    # A non-constant, azimuth-odd density checks that the local correction
+    # reaches every node of a ring with the right turn (the sine-type
+    # (2, -1) catches a reversed one).
+    _assert_harmonic_is_eigenvector(sphere_grid, l, m)
+
+
+def test_odd_ring_length_sphere(sphere):
+    # with an odd n_phi no grid azimuth lies half a turn from another, so the
+    # through-pole rows' azimuthal weights are evaluated directly instead of
+    # turning those of the direct rows
+    cap = capacitance(sphere, 12, 25)
+    assert abs(cap.c1 - FOUR_PI) / FOUR_PI < 1e-8
+    grid = build_surface_grid(sphere, 1.0, 16, 33)
+    for l, m in HARMONICS:
+        _assert_harmonic_is_eigenvector(grid, l, m)
 
 
 @pytest.mark.parametrize("l, m", [(1, 1), (2, 2), (3, 2)])
@@ -186,6 +205,19 @@ def test_static_core_turn_equivariance(l, m):
         want = getattr(cores[0], name)[np.ix_(turned, turned)]
         got = getattr(cores[1], name)
         assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+
+
+def test_static_core_depends_on_shape_relative_to_its_centre():
+    # the core sees the surface only through node differences and, in the
+    # cap, through r and the polar angle about each node: moving the star
+    # centre moves every node alike and changes the core by rounding only
+    harmonics = ((2, 0, 0.06), (3, 2, 0.03))
+    cores = [get_static_core(build_surface_grid(
+        StarShape(center=center, constant=0.6, harmonics=harmonics), 0.16, 12, 24))
+        for center in ((0.25, 0.0, 0.0), (0.0, 0.0, 0.0))]
+    for name in ("matrix", "linear_correction", "distances"):
+        got, want = (getattr(core, name) for core in cores)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("shape_name", ["sphere", "bumpy_sphere"])
