@@ -10,17 +10,22 @@ The remainder is assembled with plain product weights, in real arithmetic
 with one formula for every s = a + ib:
 
     exp(-sd) - 1 = (1 + E)(C - iS) + E,
-    E = expm1(-a d),  C = cos(bd) - 1 = -2 sin^2(bd/2),  S = sin(bd),
+    E = expm1(-a d),  C = cos(bd) - 1 = -2t^2 / (1 + t^2),
+    S = sin(bd) = 2t / (1 + t^2),  t = tan(bd / 2),
 
 written straight into the real and imaginary parts of the matrix (E is
 skipped on the imaginary axis, C and S for real s, which keep a real
-matrix).  C loses no digits however small |b| d is.  The node distances
-are symmetric to the bit, so the remainder is computed on the upper block
-triangle only and mirrored (`_fill_symmetric`) before the column weights
-w_j / (4 pi d) make the matrix non-symmetric; the static core's far part
-is filled the same way.  Every entry goes through the same operations as
-on the whole matrix, so the matrices are those of a full fill, bit for
-bit.  The static part is
+matrix).  Neither form subtracts, so C loses no digits however small |b| d
+is.  Both come from one tan (`geometry._half_angle`): numpy 2.4 evaluates
+float64 tan, exp and expm1 in SIMD but sin and cos in scalar libm, at
+about 1.5 ns an element for tan against 18 ns for sin (2-vCPU Intel Xeon),
+and the two sines over the distances were most of a node's assembly.
+The node distances are symmetric to the bit, so the remainder is computed
+on the upper block triangle only and mirrored (`_fill_symmetric`) before
+the column weights w_j / (4 pi d) make the matrix non-symmetric; the
+static core's far part is filled the same way.  Every entry goes through
+the same operations as on the whole matrix, so the matrices are those of
+a full fill, bit for bit.  The static part is
 assembled once per grid ("static core") with a singularity correction: the
 kernel is blended into a long-range piece that is smooth in the squared
 distance (spectral under the plain product rule) and a localized singular
@@ -73,7 +78,8 @@ arithmetic, with the real and imaginary parts as two right-hand sides.
 
 Off-surface evaluation takes point-node distances from the Gram form
 |x|^2 + |y|^2 - 2 x.y (one BLAS product, clamped at 0) and the kernel in
-the same real form e^{-ad}(cos bd - i sin bd).
+the same real form e^{-ad}(cos bd - i sin bd), with sin bd and
+1 - cos bd from one tan(bd / 2), for the same reason.
 """
 
 from __future__ import annotations
@@ -85,7 +91,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as sla
 
-from .geometry import StarShape, SurfaceGrid, build_surface_grid, gauss_panels
+from .geometry import StarShape, SurfaceGrid, _half_angle, build_surface_grid, gauss_panels
 from .incident import ShellPulse, incident_trace
 
 logger = logging.getLogger(__name__)
@@ -160,9 +166,9 @@ def _trig_interp_weights(n: int, x: np.ndarray) -> np.ndarray:
     b = 2.0 * math.pi * np.arange(n) / n
     u = x[:, None] - b[None, :]
     small = np.abs(np.remainder(u + math.pi, 2.0 * math.pi) - math.pi) < 1e-12
-    den = np.tan(0.5 * u) if n % 2 == 0 else np.sin(0.5 * u)
+    den = np.tan(0.5 * u) if n % 2 == 0 else _half_angle(0.5 * u)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.sin(0.5 * n * u) / (n * den)
+        out = _half_angle(0.5 * n * u)[0] / (n * den)
     out[small] = 1.0
     return out
 
@@ -404,8 +410,9 @@ def assemble_single_layer(grid: SurfaceGrid, s: complex) -> SingleLayerMatrix:
         return SingleLayerMatrix(matrix=core.matrix.copy(), s=s)
     a, b = s.real, s.imag
     dist = core.distances
-    # the remainder e^{-sd} - 1 = (1 + E)(C - iS) + E in real arithmetic
-    # (module docstring), symmetric in the node pair: written straight into
+    # the remainder e^{-sd} - 1 = (1 + E)(C - iS) + E in real arithmetic,
+    # C and S from one tan(bd / 2), which is SIMD where sin is scalar libm
+    # (module docstring); symmetric in the node pair: written straight into
     # the returned matrix on its upper block triangle and mirrored.  `tmp`
     # is the one other N x N array the solving thread holds: E's scratch
     # here, then the column scaling
@@ -420,21 +427,19 @@ def assemble_single_layer(grid: SurfaceGrid, s: complex) -> SingleLayerMatrix:
             np.expm1(r, out=r)
             return
         i = im[block]
-        np.multiply(0.5 * b, d, out=r)
-        np.sin(r, out=r)
-        np.square(r, out=r)
-        r *= -2.0                                   # C
-        if a != 0.0:
-            np.multiply(-a, d, out=e)
-            np.expm1(e, out=e)                      # E
-            np.multiply(r, e, out=i)                # C E, with im as scratch
-            r += i
-            r += e
-            e += 1.0                                # 1 + E
-        np.multiply(-b, d, out=i)
-        np.sin(i, out=i)                            # -S
-        if a != 0.0:
-            i *= e
+        np.multiply(-b, d, out=r)
+        minus_s, v = _half_angle(r)                 # -S, and -C = 1 - cos bd
+        np.negative(v, out=r)                       # C
+        if a == 0.0:
+            np.copyto(i, minus_s)
+            return
+        np.multiply(-a, d, out=e)
+        np.expm1(e, out=e)                          # E
+        np.multiply(r, e, out=i)                    # C E, with im as scratch
+        r += i
+        r += e
+        e += 1.0                                    # 1 + E
+        np.multiply(minus_s, e, out=i)
 
     _fill_symmetric(remainder, mat)
     # kernel scaling w_j / (4 pi d); the diagonal carries the remainder's
@@ -627,7 +632,8 @@ def evaluate_potential(grid: SurfaceGrid, density: np.ndarray, s: complex,
             f"(need >= {threshold:.3e}); use a refined grid or move the point")
     s = complex(s)
     a, b = s.real, s.imag
-    # kernel e^{-ad} (cos bd - i sin bd) / (4 pi d) in real arithmetic
+    # kernel e^{-ad} (cos bd - i sin bd) / (4 pi d) in real arithmetic,
+    # cos bd and sin bd from one SIMD tan(bd / 2), not two scalar libm calls
     amp = np.divide(1.0 / (4.0 * math.pi), dist)
     if a != 0.0:
         amp *= np.exp(-a * dist)
@@ -636,10 +642,10 @@ def evaluate_potential(grid: SurfaceGrid, density: np.ndarray, s: complex,
     else:
         kern = np.empty(dist.shape, dtype=complex)
         np.multiply(-b, dist, out=dist)             # the phase -bd
-        np.cos(dist, out=kern.real)
+        minus_sin, vers = _half_angle(dist)
+        np.subtract(1.0, vers, out=kern.real)       # cos bd
         kern.real *= amp
-        np.sin(dist, out=kern.imag)
-        kern.imag *= amp
+        np.multiply(minus_sin, amp, out=kern.imag)
     return kern @ (grid.weights * density)
 
 

@@ -115,8 +115,9 @@ def _dense_node_matrix(grid, s):
     if b == 0.0:
         re, im = np.expm1(-a * d), np.zeros_like(d)
     else:
-        re = np.square(np.sin(0.5 * b * d)) * -2.0          # C
-        im = np.sin(-b * d)                                 # -S
+        t = np.tan(-0.5 * b * d)                            # tan(-bd / 2)
+        im = 2.0 / (1.0 + t * t) * t                        # -S = sin(-bd)
+        re = -(t * im)                                      # C = -2t^2 / (1 + t^2)
         if a != 0.0:
             e = np.expm1(-a * d)                            # E
             re = re + re * e + e
@@ -188,6 +189,25 @@ def test_odd_ring_length_sphere(sphere):
     grid = build_surface_grid(sphere, 1.0, 16, 33)
     for l, m in HARMONICS:
         _assert_harmonic_is_eigenvector(grid, l, m)
+
+
+@pytest.mark.parametrize("n", [24, 25, 40])
+def test_trig_interp_weights_match_direct_sines(n):
+    # the cardinal weights sin(n u / 2) / (n tan(u / 2)) (even n) and
+    # sin(n u / 2) / (n sin(u / 2)) (odd n), u = x - 2 pi c / n, with the
+    # sines from half-angle tangents, agree with np.sin to 1e-15 absolute,
+    # beside the grid azimuths too, where both quotients are of small numbers
+    grid_phi = 2.0 * math.pi * np.arange(n) / n
+    x = np.concatenate([np.random.default_rng(n).uniform(0.0, 2.0 * math.pi, 500),
+                        grid_phi, grid_phi + 1e-9, grid_phi + 1e-11,
+                        np.remainder(grid_phi - 1e-9, 2.0 * math.pi)])
+    u = x[:, None] - grid_phi[None, :]
+    den = np.tan(0.5 * u) if n % 2 == 0 else np.sin(0.5 * u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = np.sin(0.5 * n * u) / (n * den)
+    ref[np.abs(np.remainder(u + math.pi, 2.0 * math.pi) - math.pi) < 1e-12] = 1.0
+    got = bem._trig_interp_weights(n, x)
+    assert np.max(np.abs(got - ref)) < 1e-15
 
 
 @pytest.mark.parametrize("l, m", [(1, 1), (2, 2), (3, 2)])

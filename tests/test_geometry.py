@@ -5,7 +5,8 @@ import pytest
 from scipy.special import sph_harm_y
 
 from smallscat.geometry import (
-    ShapeInvalidError, ShellRegion, StarShape, build_surface_grid, gauss_panels, shell_quadrature,
+    ShapeInvalidError, ShellRegion, StarShape, _half_angle, build_surface_grid, gauss_panels,
+    shell_quadrature,
 )
 
 SPHERE_AREA = 4.0 * math.pi
@@ -136,6 +137,32 @@ def test_harmonic_values_on_broadcast_angles():
     h = 1e-6
     assert np.max(np.abs(rt - (shape.radial(th + h, ph) - shape.radial(th - h, ph)) / (2 * h))) < 1e-8
     assert np.max(np.abs(rp - (shape.radial(th, ph + h) - shape.radial(th, ph - h)) / (2 * h))) < 1e-8
+
+
+def test_half_angle_keeps_relative_accuracy():
+    # sin x and 1 - cos x from tan(x / 2) against libm, to 1e-15 relative:
+    # from 1e-12 to 200, and beside every odd multiple of pi / 2 and every
+    # multiple of pi up to 200, where one of the two, or tan itself, is small
+    # or near a pole.  2 sin^2(x / 2) is the reference for 1 - cos x, which
+    # libm's cos cannot give near x = 2 pi k
+    x = np.concatenate([np.logspace(-12, math.log10(200.0), 4001),
+                        np.random.default_rng(3).uniform(0.0, 200.0, 4000)])
+    for k in range(1, 128):
+        c = 0.5 * math.pi * k
+        x = np.append(x, [c, np.nextafter(c, 0.0), np.nextafter(c, np.inf),
+                          c - 1e-9, c + 1e-9, c - 1e-6, c + 1e-6])
+    x = np.concatenate([x, -x])
+    sin, vers = _half_angle(x)
+    ref_sin = np.array([math.sin(v) for v in x])
+    ref_vers = np.array([2.0 * math.sin(0.5 * v) ** 2 for v in x])
+    assert np.max(np.abs(sin / ref_sin - 1.0)) < 1e-15
+    assert np.max(np.abs(vers / ref_vers - 1.0)) < 1e-15
+    assert np.max(np.abs((1.0 - vers) - np.array([math.cos(v) for v in x]))) < 1e-15
+    # scalars in, 0-d arrays out
+    s, v = _half_angle(0.3)
+    assert s.shape == v.shape == ()
+    assert math.isclose(s, math.sin(0.3), rel_tol=1e-15)
+    assert math.isclose(1.0 - v, math.cos(0.3), rel_tol=1e-15)
 
 
 # -- composite Gauss rule ----------------------------------------------------
