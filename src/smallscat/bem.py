@@ -45,10 +45,11 @@ Lagrange interpolation across theta-rings (through-pole continuation
 handled by reflection).  A reflected row is read half a turn away, so for
 even n_phi its azimuthal weights are those of the direct rows rolled by
 n_phi / 2; odd n_phi evaluates them directly.  The nodes of a theta-ring
-share one such stencil through the azimuthal turn: it is built once per
-ring, applied one source ring at a time and turned to each node by one
-precomputed flat gather.  This local part agrees with Cartesian cap
-distances and directly evaluated weights to rounding, not to the bit.
+share one such stencil through the azimuthal turn, so it is built once per
+ring: the stencils of all the source rings the cap reaches come from one
+batched rank-2 product, meet the ring's kernels in one GEMM and are turned
+to each node by one flat gather.  This local part agrees with Cartesian
+cap distances and directly evaluated weights to rounding, not to the bit.
 The same pass builds a second correction matrix for the kernel |x-y|,
 which repairs the remainder's leading odd term s^2 |x-y| / 2 at every
 frequency for free.
@@ -148,24 +149,27 @@ def _window_width(grid: SurfaceGrid) -> float:
     return WINDOW_FACTOR * h * grid.epsilon * float(np.max(metric))
 
 
-def _local_difference_kernel(dist: np.ndarray, W: float) -> np.ndarray:
-    """1/d - q_W(d^2), computed stably for d >> W (without 1/4pi)."""
+def _local_difference_kernel(dist: np.ndarray, W: float) -> tuple[np.ndarray, np.ndarray]:
+    """1/d - q_W(d^2) (without 1/4pi) and the window exp(-d^2/W^2).
+
+    With u = (W/d)^2 exp(-d^2/W^2), 1 - 1/sqrt(1+u) is taken as
+    u / (sqrt(1+u) (1 + sqrt(1+u))), which does not cancel however small u is.
+    """
     W2 = W * W
-    u = (W2 / (dist * dist)) * np.exp(-(dist * dist) / W2)
-    small = u < 1e-8
-    out = np.empty(dist.shape)
-    out[small] = (0.5 * u[small] - 0.375 * u[small] ** 2) / dist[small]
-    ul = u[~small]
-    out[~small] = (1.0 - 1.0 / np.sqrt(1.0 + ul)) / dist[~small]
-    return out
+    window = np.exp(-(dist * dist) / W2)
+    u = (W2 / (dist * dist)) * window
+    root = np.sqrt(1.0 + u)
+    return u / (root * (1.0 + root)) / dist, window
 
 
 def _trig_interp_weights(n: int, x: np.ndarray) -> np.ndarray:
     """Cardinal weights of trigonometric interpolation on the uniform grid
     x_b = 2 pi b / n, evaluated at azimuths x.  Returns (len(x), n)."""
     b = 2.0 * math.pi * np.arange(n) / n
-    u = x[:, None] - b[None, :]
-    small = np.abs(np.remainder(u + math.pi, 2.0 * math.pi) - math.pi) < 1e-12
+    # the weights are 2 pi-periodic in u = x - b: reduced into [-pi, pi), a
+    # u near +-2 pi does not leave n u / 2 a rounding of n ulp(2 pi)
+    u = np.remainder(x[:, None] - b[None, :] + math.pi, 2.0 * math.pi) - math.pi
+    small = np.abs(u) < 1e-12
     den = np.tan(0.5 * u) if n % 2 == 0 else _half_angle(0.5 * u)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
         out = _half_angle(0.5 * n * u)[0] / (n * den)
@@ -209,6 +213,28 @@ def _extended_theta(grid: SurfaceGrid):
     rows = np.concatenate([np.arange(nt)[::-1], np.arange(nt), np.arange(nt)[::-1]])
     flags = np.concatenate([np.ones(nt, bool), np.zeros(nt, bool), np.ones(nt, bool)])
     return theta_ext, rows, flags
+
+
+def _ring_local_part(kernels: np.ndarray, R0: np.ndarray, R1: np.ndarray,
+                     T0: np.ndarray, T1: np.ndarray, src: np.ndarray) -> np.ndarray:
+    """A theta-ring's local correction rows, shape (2 n_phi, n_theta n_phi).
+
+    Source ring t's stencil is R0[:, t] T0 + R1[:, t] T1, of shape (nq, n_phi).
+    Those of the rings `src` (the others are zero) come from one batched
+    rank-2 product and meet the ring's stacked kernels (2 n_phi, nq) in one
+    GEMM.  Node b reads source column (c - b) mod n_phi, row k of the kernels
+    being node k mod n_phi: one flat gather turns the product to every node.
+    """
+    n_theta, n_src, n_phi = R0.shape[1], len(src), T0.shape[1]
+    stencil = np.matmul(np.stack([R0[:, src], R1[:, src]], 2),
+                        np.stack([T0, T1], 1))                      # (nq, n_src, n_phi)
+    product = kernels @ stencil.reshape(len(stencil), -1)
+    del stencil             # a core build's largest temporary, freed before the gather
+    k = np.arange(len(kernels))[:, None, None]
+    turn = (k * n_src + np.arange(n_src)[:, None]) * n_phi + (np.arange(n_phi) - k) % n_phi
+    out = np.zeros((len(kernels), n_theta, n_phi))
+    out[:, src] = np.take(product, turn)
+    return out.reshape(len(kernels), -1)
 
 
 def _fill_symmetric(fill, *arrays: np.ndarray) -> None:
@@ -291,11 +317,6 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
     span = gamma_max + STENCIL_MARGIN * np.max(np.diff(grid.theta))
     n_theta, n_phi = grid.n_theta, grid.n_phi
     fold_ext = (ext_rows[:, None] == np.arange(n_theta)[None, :]).astype(float)
-    # (c - b) mod n_phi is the phi-column read by node b of a ring; `turn`
-    # holds it as flat indices into the (2 n_phi, n_phi) product of a ring's
-    # two kernels with a stencil, row k being node k mod n_phi
-    k = np.arange(2 * n_phi)[:, None]
-    turn = k * n_phi + (np.arange(n_phi)[None, :] - k) % n_phi
     # All nodes of a theta-ring share one interpolation stencil through the
     # azimuthal turn: theta* is ring-invariant and phi* shifts by the node
     # azimuth, so the stencil is built once per ring at phi = 0 and each
@@ -337,17 +358,15 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
         r_b = grid.radial_values[node_slice, None]
         dist_q = grid.epsilon * np.sqrt(np.square(r_q - r_b) + r_q * r_b * chord2)
         base = wq[None, :] * jac_q * eps2
-        kernels = np.concatenate([base * _local_difference_kernel(dist_q, W) / (4.0 * math.pi),
-                                  base * np.exp(-dist_q * dist_q / W2) * dist_q])  # (2 n_phi, nq)
+        difference, window = _local_difference_kernel(dist_q, W)
+        kernels = np.concatenate([base * difference / (4.0 * math.pi),
+                                  base * window * dist_q])          # (2 n_phi, nq)
 
-        # the ring's rows, viewed as (node b, source ring t, source column c)
-        rows_m = matrix[node_slice].reshape(n_phi, n_theta, n_phi)
-        rows_c = cmat[node_slice].reshape(n_phi, n_theta, n_phi)
-        for t in np.flatnonzero(fold.any(axis=0)):
-            w_t = R0[:, t, None] * T0 + R1[:, t, None] * T1             # (nq, n_phi)
-            part = np.take(kernels @ w_t, turn)
-            rows_m[:, t] += part[:n_phi]
-            rows_c[:, t] += part[n_phi:]
+        # only the source rings the span reaches: a partial cap pays for no
+        # zero stencils
+        part = _ring_local_part(kernels, R0, R1, T0, T1, np.flatnonzero(fold.any(axis=0)))
+        matrix[node_slice] += part[:n_phi]
+        cmat[node_slice] += part[n_phi:]
 
     return _StaticCore(matrix=matrix, linear_correction=cmat, distances=dist)
 

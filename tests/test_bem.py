@@ -1,4 +1,5 @@
 import dataclasses
+import decimal
 import math
 import tracemalloc
 
@@ -194,20 +195,98 @@ def test_odd_ring_length_sphere(sphere):
 @pytest.mark.parametrize("n", [24, 25, 40])
 def test_trig_interp_weights_match_direct_sines(n):
     # the cardinal weights sin(n u / 2) / (n tan(u / 2)) (even n) and
-    # sin(n u / 2) / (n sin(u / 2)) (odd n), u = x - 2 pi c / n, with the
-    # sines from half-angle tangents, agree with np.sin to 1e-15 absolute,
-    # beside the grid azimuths too, where both quotients are of small numbers
+    # sin(n u / 2) / (n sin(u / 2)) (odd n), u = x - 2 pi c / n reduced into
+    # [-pi, pi), with the sines from half-angle tangents, agree with np.sin
+    # to 1e-15 absolute, beside the grid azimuths too, where both quotients
+    # are of small numbers, and just below 2 pi, where an unreduced u would
+    # leave n u / 2 a rounding of n ulp(2 pi)
     grid_phi = 2.0 * math.pi * np.arange(n) / n
     x = np.concatenate([np.random.default_rng(n).uniform(0.0, 2.0 * math.pi, 500),
                         grid_phi, grid_phi + 1e-9, grid_phi + 1e-11,
-                        np.remainder(grid_phi - 1e-9, 2.0 * math.pi)])
-    u = x[:, None] - grid_phi[None, :]
+                        np.remainder(grid_phi - 1e-9, 2.0 * math.pi),
+                        2.0 * math.pi - np.array([1e-9, 1e-6, 1e-3])])
+    u = np.remainder(x[:, None] - grid_phi[None, :] + math.pi, 2.0 * math.pi) - math.pi
     den = np.tan(0.5 * u) if n % 2 == 0 else np.sin(0.5 * u)
     with np.errstate(divide="ignore", invalid="ignore"):
         ref = np.sin(0.5 * n * u) / (n * den)
-    ref[np.abs(np.remainder(u + math.pi, 2.0 * math.pi) - math.pi) < 1e-12] = 1.0
+    ref[np.abs(u) < 1e-12] = 1.0
     got = bem._trig_interp_weights(n, x)
     assert np.max(np.abs(got - ref)) < 1e-15
+
+
+def test_local_difference_kernel_matches_decimal_reference():
+    # 1/d - q_W(d^2) and exp(-d^2/W^2) against 50-digit decimal arithmetic
+    # over the cap, to 1e-13 relative: near d/W = 4, u = (W/d)^2 e^{-d^2/W^2}
+    # is about 1e-8, where 1 - 1/sqrt(1 + u) would cancel
+    W = 0.37
+    dist = W * np.concatenate([np.linspace(0.05, 5.5, 400), [3.9, 3.95, 4.0]])
+    got, window = bem._local_difference_kernel(dist, W)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        Wd = decimal.Decimal(W)
+        for d, g, e in zip(dist, got, window):
+            dd = decimal.Decimal(d)
+            ref_e = (-(dd * dd) / (Wd * Wd)).exp()
+            u = Wd * Wd / (dd * dd) * ref_e
+            ref = (1 - 1 / (1 + u).sqrt()) / dd
+            assert abs(decimal.Decimal(g) / ref - 1) <= decimal.Decimal(1e-13)
+            assert abs(decimal.Decimal(e) / ref_e - 1) <= decimal.Decimal(1e-13)
+
+
+def _per_source_ring_local_part(kernels, R0, R1, T0, T1, src):
+    """`bem._ring_local_part` one source ring at a time: each ring's stencil
+    by broadcasting, its own kernel product and its own turn to the nodes."""
+    n_theta, n_phi = R0.shape[1], T0.shape[1]
+    outside = np.setdiff1d(np.arange(n_theta), src)
+    assert not R0[:, outside].any() and not R1[:, outside].any()
+    k = np.arange(2 * n_phi)[:, None]
+    turn = k * n_phi + (np.arange(n_phi)[None, :] - k) % n_phi
+    out = np.zeros((2 * n_phi, n_theta, n_phi))
+    for t in src:
+        w_t = R0[:, t, None] * T0 + R1[:, t, None] * T1
+        out[:, t] = np.take(kernels @ w_t, turn)
+    return out.reshape(2 * n_phi, -1)
+
+
+@pytest.mark.parametrize("shape_name, res, cutoff", [
+    ("sphere", (12, 24), None), ("sphere", (12, 25), None), ("bumpy_sphere", (12, 24), None),
+    ("offset_bumpy_sphere", (12, 24), None), ("bumpy_sphere", (12, 24), 2.0)],
+    ids=["sphere", "sphere-odd", "bumpy", "offset-bumpy", "bumpy-partial-cap"])
+def test_batched_local_part_matches_per_source_ring(monkeypatch, shape_name, res, cutoff):
+    # the batched stencil, one GEMM and one gather give the core of a loop
+    # over source rings to rounding; a cap cut at 2 window widths stops short
+    # of the antipode, so some rings see fewer source rings than there are
+    if cutoff is not None:
+        monkeypatch.setattr(bem, "WINDOW_CUTOFF", cutoff)
+    grid = build_surface_grid(getattr(StarShape, shape_name)(), 0.16, *res)
+    got = bem._static_core(grid)
+    n_src = []
+
+    def reference(kernels, R0, R1, T0, T1, src):
+        n_src.append(len(src))
+        return _per_source_ring_local_part(kernels, R0, R1, T0, T1, src)
+
+    monkeypatch.setattr(bem, "_ring_local_part", reference)
+    want = bem._static_core(grid)
+    assert (min(n_src) < grid.n_theta) == (cutoff is not None)
+    for name in ("matrix", "linear_correction"):
+        ref = getattr(want, name)
+        assert np.max(np.abs(getattr(got, name) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.array_equal(got.distances, want.distances)
+
+
+@pytest.mark.parametrize("res", [(20, 40), (24, 48)])
+def test_static_core_peak_memory(res):
+    # beside its three N x N results, a core build holds a few row blocks
+    # and one ring's stencil: its allocations peak below 6 x 8 N^2 bytes
+    grid = build_surface_grid(StarShape.sphere(), 1.0, *res)
+    tracemalloc.start()
+    try:
+        bem._static_core(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 8 * grid.n_nodes ** 2
 
 
 @pytest.mark.parametrize("l, m", [(1, 1), (2, 2), (3, 2)])
