@@ -48,8 +48,15 @@ n_phi / 2; odd n_phi evaluates them directly.  The nodes of a theta-ring
 share one such stencil through the azimuthal turn, so it is built once per
 ring: the stencils of all the source rings the cap reaches come from one
 batched rank-2 product, meet the ring's kernels in one GEMM and are turned
-to each node by one flat gather.  This local part agrees with Cartesian
-cap distances and directly evaluated weights to rounding, not to the bit.
+to each node by one flat gather.  On a body of revolution (every harmonic
+of order m = 0, the sphere included) r does not depend on phi, so the
+nodes of a ring share their cloud kernels as well: those are evaluated for
+the ring's first node only, and the GEMM multiplies 2 kernel rows where
+any other shape multiplies 2 n_phi (a 16x32 sphere core takes 35-41 ms
+against 82-116 ms with a row per node, a bumpy one 74-76 ms; 2-vCPU Intel
+Xeon, one OpenBLAS thread, best of 5).  This local part agrees with
+Cartesian cap distances and directly evaluated weights to rounding, not to
+the bit.
 The same pass builds a second correction matrix for the kernel |x-y|,
 which repairs the remainder's leading odd term s^2 |x-y| / 2 at every
 frequency for free.
@@ -164,11 +171,17 @@ def _local_difference_kernel(dist: np.ndarray, W: float) -> tuple[np.ndarray, np
 
 def _trig_interp_weights(n: int, x: np.ndarray) -> np.ndarray:
     """Cardinal weights of trigonometric interpolation on the uniform grid
-    x_b = 2 pi b / n, evaluated at azimuths x.  Returns (len(x), n)."""
+    x_b = 2 pi b / n, evaluated at azimuths x in [0, 3 pi).  Returns
+    (len(x), n)."""
     b = 2.0 * math.pi * np.arange(n) / n
     # the weights are 2 pi-periodic in u = x - b: reduced into [-pi, pi), a
-    # u near +-2 pi does not leave n u / 2 a rounding of n ulp(2 pi)
-    u = np.remainder(x[:, None] - b[None, :] + math.pi, 2.0 * math.pi) - math.pi
+    # u near +-2 pi does not leave n u / 2 a rounding of n ulp(2 pi).  On
+    # x in [0, 3 pi), x - b + pi lies in (-pi, 4 pi), where one conditional
+    # 2 pi shift each way is np.remainder(x - b + pi, 2 pi) to the bit
+    u = x[:, None] - b[None, :] + math.pi
+    np.subtract(u, 2.0 * math.pi, out=u, where=u >= 2.0 * math.pi)
+    np.add(u, 2.0 * math.pi, out=u, where=u < 0.0)
+    u -= math.pi
     small = np.abs(u) < 1e-12
     den = np.tan(0.5 * u) if n % 2 == 0 else _half_angle(0.5 * u)[0]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -221,20 +234,24 @@ def _ring_local_part(kernels: np.ndarray, R0: np.ndarray, R1: np.ndarray,
 
     Source ring t's stencil is R0[:, t] T0 + R1[:, t] T1, of shape (nq, n_phi).
     Those of the rings `src` (the others are zero) come from one batched
-    rank-2 product and meet the ring's stacked kernels (2 n_phi, nq) in one
-    GEMM.  Node b reads source column (c - b) mod n_phi, row k of the kernels
-    being node k mod n_phi: one flat gather turns the product to every node.
+    rank-2 product and meet the ring's stacked kernels in one GEMM.  The
+    kernels hold each kind's row per node, (2 n_phi, nq), or, on a body of
+    revolution, one row per kind that every node shares, (2, nq).  Output
+    row k is node b = k mod n_phi of kind k // n_phi, which reads source
+    column (c - b) mod n_phi of its kernel row: one flat gather turns the
+    product to every node.
     """
     n_theta, n_src, n_phi = R0.shape[1], len(src), T0.shape[1]
     stencil = np.matmul(np.stack([R0[:, src], R1[:, src]], 2),
                         np.stack([T0, T1], 1))                      # (nq, n_src, n_phi)
     product = kernels @ stencil.reshape(len(stencil), -1)
     del stencil             # a core build's largest temporary, freed before the gather
-    k = np.arange(len(kernels))[:, None, None]
-    turn = (k * n_src + np.arange(n_src)[:, None]) * n_phi + (np.arange(n_phi) - k) % n_phi
-    out = np.zeros((len(kernels), n_theta, n_phi))
+    k = np.arange(2 * n_phi)[:, None, None]
+    row = k // (2 * n_phi // len(kernels))      # k, or k // n_phi for shared rows
+    turn = (row * n_src + np.arange(n_src)[:, None]) * n_phi + (np.arange(n_phi) - k) % n_phi
+    out = np.zeros((2 * n_phi, n_theta, n_phi))
     out[:, src] = np.take(product, turn)
-    return out.reshape(len(kernels), -1)
+    return out.reshape(2 * n_phi, -1)
 
 
 def _fill_symmetric(fill, *arrays: np.ndarray) -> None:
@@ -321,6 +338,11 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
     # azimuthal turn: theta* is ring-invariant and phi* shifts by the node
     # azimuth, so the stencil is built once per ring at phi = 0 and each
     # source ring's share reaches node b with its phi-columns turned by b.
+    # On a body of revolution (no harmonic with m != 0) r does not depend on
+    # phi, so the nodes of a ring share their cloud kernels too: they are
+    # evaluated for the ring's first node only.
+    axisymmetric = all(m == 0 for (_, m, _) in grid.shape.harmonics)
+    node_phi = grid.phi[:1] if axisymmetric else grid.phi
     for a in range(n_theta):
         th_a = grid.theta[a]
         ct, st = math.cos(th_a), math.sin(th_a)
@@ -345,22 +367,25 @@ def _static_core(grid: SurfaceGrid) -> _StaticCore:
         T1 = (np.roll(T0, n_phi // 2, axis=1) if n_phi % 2 == 0
               else _trig_interp_weights(n_phi, ph_q0 + math.pi))
 
-        ph_q = (ph_q0[None, :] + grid.phi[:, None]) % (2.0 * math.pi)
+        # ph_q0 + phi lies in [0, 4 pi): one conditional subtract is the
+        # remainder modulo 2 pi, exactly (Sterbenz)
+        ph_q = ph_q0[None, :] + node_phi[:, None]
+        np.subtract(ph_q, 2.0 * math.pi, out=ph_q, where=ph_q >= 2.0 * math.pi)
         # theta is ring-invariant: each harmonic's Legendre factor is
         # evaluated once on the (nq,) cloud and turned in phi by broadcasting
-        r_q, rt_q, rp_q = grid.shape.radial_derivatives(th_q, ph_q)   # (n_phi, nq)
+        r_q, rt_q, rp_q = grid.shape.radial_derivatives(th_q, ph_q)   # (len(node_phi), nq)
         rp_over = rp_q / np.maximum(np.sin(th_q), 1e-300)
         jac_q = r_q * np.sqrt(r_q ** 2 + rt_q ** 2 + rp_over ** 2)
 
         # |y_q - x_b| by the law of cosines in the star's own frame: the
         # centre cancels, and nothing cancels near the node
         node_slice = slice(a * n_phi, (a + 1) * n_phi)
-        r_b = grid.radial_values[node_slice, None]
+        r_b = grid.radial_values[node_slice][:len(node_phi), None]
         dist_q = grid.epsilon * np.sqrt(np.square(r_q - r_b) + r_q * r_b * chord2)
         base = wq[None, :] * jac_q * eps2
         difference, window = _local_difference_kernel(dist_q, W)
         kernels = np.concatenate([base * difference / (4.0 * math.pi),
-                                  base * window * dist_q])          # (2 n_phi, nq)
+                                  base * window * dist_q])          # (2 len(node_phi), nq)
 
         # only the source rings the span reaches: a partial cap pays for no
         # zero stencils

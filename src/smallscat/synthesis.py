@@ -277,21 +277,25 @@ def inverse_transform(table: FrequencyTable, times) -> TimeSeries:
     """Synthesize u(t, x) = (1/pi) Re int_0^Omega e^{i omega t} u_hat d omega.
 
     Each panel contributes the exact Legendre-Bessel moments of the
-    interpolant through the nodes it holds.
+    interpolant through the nodes it holds.  The moments 2 i^k j_k(h t)
+    depend on a panel only through its half-width h, so they are tabulated
+    once per distinct h.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     n_per = len(table.omegas) // table.n_panels
     acc = np.zeros((len(times), table.points.shape[0]), dtype=complex)
 
+    edges = table.panel_edges
+    widths, panel_width = np.unique(0.5 * (edges[1:] - edges[:-1]), return_inverse=True)
+    factors = np.array([2.0 * (1j ** k) for k in range(n_per)])
+    moments = [factors * spherical_jn(np.arange(n_per), h * times[:, None])
+               for h in widths]                                   # (T, n_per) each
     for p in range(table.n_panels):
-        a, b = table.panel_edges[p], table.panel_edges[p + 1]
+        a, b = edges[p], edges[p + 1]
         c, h = 0.5 * (a + b), 0.5 * (b - a)
         sl = slice(p * n_per, (p + 1) * n_per)
         coeffs = _panel_legendre_coeffs((table.omegas[sl] - c) / h, table.values[sl])
-        kappa = h * times                                         # (T,)
-        moments = np.stack([2.0 * (1j ** k) * spherical_jn(k, kappa)
-                            for k in range(n_per)], axis=1)       # (T, n_per)
-        acc += np.exp(1j * c * times)[:, None] * (h * (moments @ coeffs))
+        acc += np.exp(1j * c * times)[:, None] * (h * (moments[panel_width[p]] @ coeffs))
 
     # conjugate extension: the omega < 0 half contributes the exact conjugate.
     # The real part is taken after the complex division: acc.real / pi rounds

@@ -200,11 +200,17 @@ def test_trig_interp_weights_match_direct_sines(n):
     # to 1e-15 absolute, beside the grid azimuths too, where both quotients
     # are of small numbers, and just below 2 pi, where an unreduced u would
     # leave n u / 2 a rounding of n ulp(2 pi)
+    # (the cap's azimuths plus pi, which odd n evaluates directly for the
+    # through-pole rows, reach up to 3 pi)
     grid_phi = 2.0 * math.pi * np.arange(n) / n
     x = np.concatenate([np.random.default_rng(n).uniform(0.0, 2.0 * math.pi, 500),
                         grid_phi, grid_phi + 1e-9, grid_phi + 1e-11,
                         np.remainder(grid_phi - 1e-9, 2.0 * math.pi),
-                        2.0 * math.pi - np.array([1e-9, 1e-6, 1e-3])])
+                        2.0 * math.pi - np.array([1e-9, 1e-6, 1e-3]),
+                        np.random.default_rng(n + 1).uniform(2.0 * math.pi, 3.0 * math.pi, 200),
+                        grid_phi[grid_phi < math.pi] + 2.0 * math.pi,
+                        grid_phi[grid_phi < math.pi] + (2.0 * math.pi + 1e-9),
+                        3.0 * math.pi - np.array([1e-9, 1e-6, 1e-3])])
     u = np.remainder(x[:, None] - grid_phi[None, :] + math.pi, 2.0 * math.pi) - math.pi
     den = np.tan(0.5 * u) if n % 2 == 0 else np.sin(0.5 * u)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -235,8 +241,12 @@ def test_local_difference_kernel_matches_decimal_reference():
 
 def _per_source_ring_local_part(kernels, R0, R1, T0, T1, src):
     """`bem._ring_local_part` one source ring at a time: each ring's stencil
-    by broadcasting, its own kernel product and its own turn to the nodes."""
+    by broadcasting, its own kernel product and its own turn to the nodes.
+    A body of revolution's kernels, one row per kind, are repeated to every
+    node first."""
     n_theta, n_phi = R0.shape[1], T0.shape[1]
+    if len(kernels) == 2:
+        kernels = np.repeat(kernels, n_phi, axis=0)
     outside = np.setdiff1d(np.arange(n_theta), src)
     assert not R0[:, outside].any() and not R1[:, outside].any()
     k = np.arange(2 * n_phi)[:, None]
@@ -250,8 +260,10 @@ def _per_source_ring_local_part(kernels, R0, R1, T0, T1, src):
 
 @pytest.mark.parametrize("shape_name, res, cutoff", [
     ("sphere", (12, 24), None), ("sphere", (12, 25), None), ("bumpy_sphere", (12, 24), None),
-    ("offset_bumpy_sphere", (12, 24), None), ("bumpy_sphere", (12, 24), 2.0)],
-    ids=["sphere", "sphere-odd", "bumpy", "offset-bumpy", "bumpy-partial-cap"])
+    ("offset_bumpy_sphere", (12, 24), None), ("bumpy_sphere", (12, 24), 2.0),
+    ("sphere", (12, 24), 2.0)],
+    ids=["sphere", "sphere-odd", "bumpy", "offset-bumpy", "bumpy-partial-cap",
+         "sphere-partial-cap"])
 def test_batched_local_part_matches_per_source_ring(monkeypatch, shape_name, res, cutoff):
     # the batched stencil, one GEMM and one gather give the core of a loop
     # over source rings to rounding; a cap cut at 2 window widths stops short
@@ -269,6 +281,34 @@ def test_batched_local_part_matches_per_source_ring(monkeypatch, shape_name, res
     monkeypatch.setattr(bem, "_ring_local_part", reference)
     want = bem._static_core(grid)
     assert (min(n_src) < grid.n_theta) == (cutoff is not None)
+    for name in ("matrix", "linear_correction"):
+        ref = getattr(want, name)
+        assert np.max(np.abs(getattr(got, name) - ref)) <= 1e-14 * np.max(np.abs(ref))
+    assert np.array_equal(got.distances, want.distances)
+
+
+AXISYMMETRIC = {"sphere": StarShape.sphere(),
+                "axisymmetric": StarShape(constant=0.8, harmonics=((2, 0, 0.1), (3, 0, -0.05)))}
+
+
+@pytest.mark.parametrize("res", [(12, 24), (12, 25)], ids=["even", "odd"])
+@pytest.mark.parametrize("shape_name", AXISYMMETRIC)
+def test_body_of_revolution_shares_kernel_rows(monkeypatch, shape_name, res):
+    # with no harmonic of m != 0 the nodes of a ring share one row per
+    # kernel; a zero-coefficient (2, 1) harmonic leaves the surface as it is
+    # but takes the row-per-node path, and gives the same core to rounding
+    shape = AXISYMMETRIC[shape_name]
+    turned = dataclasses.replace(shape, harmonics=shape.harmonics + ((2, 1, 0.0),))
+    rows = []
+    ring_local_part = bem._ring_local_part
+
+    def recorded(kernels, *args):
+        rows.append(len(kernels))
+        return ring_local_part(kernels, *args)
+
+    monkeypatch.setattr(bem, "_ring_local_part", recorded)
+    got, want = (bem._static_core(build_surface_grid(s, 0.16, *res)) for s in (shape, turned))
+    assert rows == [2] * res[0] + [2 * res[1]] * res[0]
     for name in ("matrix", "linear_correction"):
         ref = getattr(want, name)
         assert np.max(np.abs(getattr(got, name) - ref)) <= 1e-14 * np.max(np.abs(ref))

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import logging
+import math
 import os
 import re
 import threading
@@ -8,6 +9,7 @@ import weakref
 
 import numpy as np
 import pytest
+from scipy.special import spherical_jn
 
 from conftest import field_variants
 from smallscat import bem, synthesis
@@ -143,6 +145,30 @@ def test_plancherel_identity(table):
     energy_t = np.trapezoid(series.values[:, 0] ** 2, times)
     energy_w = np.sum(table.weights * np.abs(table.values[:, 0]) ** 2) / np.pi
     assert abs(energy_t - energy_w) < 0.02 * energy_w
+
+
+@pytest.mark.parametrize("edges", [build_frequency_grid(40.0, 400)[2], np.array([0.0, 3.0, 10.0, 17.0])],
+                         ids=["shipped-grid", "three-widths"])
+def test_shared_moments_match_per_panel_moments(edges):
+    # the moments 2 i^k j_k(h t) tabulated once per distinct half-width h
+    # give the series of a loop that evaluates them on every panel, to the bit
+    omegas, weights = gauss_panels(edges, synthesis.GL_PER_PANEL)
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal((len(omegas), 2)) + 1j * rng.standard_normal((len(omegas), 2))
+    table = FrequencyTable(omegas=omegas, weights=weights, panel_edges=edges,
+                           points=np.zeros((2, 3)), values=values, scenario_hash="random")
+    times = np.linspace(0.0, 12.0, 97)
+    n_per = synthesis.GL_PER_PANEL
+    acc = np.zeros((len(times), 2), dtype=complex)
+    for p in range(len(edges) - 1):
+        a, b = edges[p], edges[p + 1]
+        c, h = 0.5 * (a + b), 0.5 * (b - a)
+        sl = slice(p * n_per, (p + 1) * n_per)
+        coeffs = synthesis._panel_legendre_coeffs((omegas[sl] - c) / h, values[sl])
+        moments = np.stack([2.0 * (1j ** k) * spherical_jn(k, h * times)
+                            for k in range(n_per)], axis=1)
+        acc += np.exp(1j * c * times)[:, None] * (h * (moments @ coeffs))
+    assert np.array_equal(inverse_transform(table, times).values, (acc / math.pi).real)
 
 
 def model_error(table, times, c1, pulse, eps):
